@@ -34,7 +34,7 @@ use gcopss_game::{AreaId, GameMap, MoveEvent, ObjectId, ObjectModel, PlayerId};
 use gcopss_names::chunk::{ChunkId, ChunkStore, Chunker, Manifest};
 use gcopss_names::{Cd, Component, Name};
 use gcopss_ndn::{Data, Interest};
-use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration, SimTime};
+use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration, SimPacket, SimTime};
 
 use crate::client::{DedupWindow, TraceCursor};
 use crate::router::cs_prefix_key;
@@ -331,8 +331,7 @@ impl SnapshotBroker {
         }
         let data = Data::with_freshness(name, payload, freshness);
         let g = GPacket::Data(data);
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
     }
 
     /// Re-classifies `key` as hot/cold from the live `qr-pop` popularity
@@ -376,8 +375,7 @@ impl SnapshotBroker {
         // span minutes of simulated time).
         let data = Data::with_freshness(name, payload, 600_000_000_000);
         let g = GPacket::Data(data);
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
     }
 
     fn object_payload(&self, serving_idx: usize, k: u32) -> Bytes {
@@ -419,7 +417,7 @@ impl SnapshotBroker {
         let m = MulticastPacket::new(Cd::new(snapcast_ns().join(cd)), Bytes::from(body), id);
         let g = GPacket::Copss(CopssPacket::Multicast(m));
         let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
         if ctx.telemetry_enabled() {
             ctx.counter("broker-cyclic-sent", 1);
             ctx.observe("broker-snapshot-bytes", u64::from(size));
@@ -445,8 +443,7 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
             cds: self.serving.clone(),
             rp: None,
         });
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, key: u64) {
@@ -677,8 +674,7 @@ impl MovingPlayerClient {
     }
 
     fn send(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>, g: GPacket) {
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
     }
 
     fn nonce(&mut self) -> u64 {

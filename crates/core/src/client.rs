@@ -411,8 +411,7 @@ impl GamePlayerClient {
     fn resubscribe(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
         let cds = self.map.subscription_cds(self.area);
         let g = GPacket::Copss(CopssPacket::Subscribe { cds, rp: None });
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
         ctx.world().bump("client-resubscribes");
     }
 
@@ -450,8 +449,7 @@ impl GamePlayerClient {
         self.dedup.insert(id);
         let m = MulticastPacket::new(Cd::new(cd), payload_of(size as usize), id);
         let g = GPacket::Copss(CopssPacket::Multicast(m));
-        let wire = g.wire_size();
-        ctx.send(self.edge, g, wire);
+        ctx.send(self.edge, g);
         self.schedule_next(ctx);
     }
 
@@ -496,8 +494,7 @@ impl GamePlayerClient {
             fetch.outstanding.insert(key, name.clone());
             cu.next_nonce += 1;
             let g = GPacket::Interest(catchup_interest(name, cu.next_nonce, cu.cfg.retry));
-            let size = g.wire_size();
-            ctx.send(edge, g, size);
+            ctx.send(edge, g);
         }
         cu.active = Some(fetch);
         ctx.world().bump(if recovery {
@@ -527,8 +524,7 @@ impl GamePlayerClient {
             fetch.outstanding.insert(key, name.clone());
             cu.next_nonce += 1;
             let g = GPacket::Interest(catchup_interest(name, cu.next_nonce, cu.cfg.retry));
-            let size = g.wire_size();
-            ctx.send(edge, g, size);
+            ctx.send(edge, g);
         }
     }
 
@@ -688,8 +684,7 @@ impl GamePlayerClient {
             for name in resend {
                 cu.next_nonce += 1;
                 let g = GPacket::Interest(catchup_interest(name, cu.next_nonce, cu.cfg.retry));
-                let size = g.wire_size();
-                ctx.send(edge, g, size);
+                ctx.send(edge, g);
             }
             fetch.backoff = (fetch.backoff + 1).min(CATCHUP_BACKOFF_CAP);
             fetch.next_resend = now + cu.cfg.retry * (1u64 << fetch.backoff);
@@ -713,8 +708,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
         let _p = gcopss_sim::prof::scope("copss_client/start");
         let cds = self.map.subscription_cds(self.area);
         let g = GPacket::Copss(CopssPacket::Subscribe { cds, rp: None });
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
         self.schedule_next(ctx);
         let now = ctx.now();
         if let Some(r) = &mut self.recovery {

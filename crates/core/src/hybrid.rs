@@ -14,7 +14,7 @@ use std::sync::Arc;
 use gcopss_copss::{CopssPacket, MulticastPacket, SubscriptionTable};
 use gcopss_names::Name;
 use gcopss_ndn::FaceId;
-use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration};
+use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimPacket};
 
 use crate::{GPacket, GameWorld, IpPacket, SimParams};
 use crate::router::FaceMap;
@@ -78,27 +78,12 @@ impl McastGroups {
 /// shortest-path tree, duplicating only where next hops diverge.
 pub fn route_ip_at_router(ctx: &mut Ctx<'_, GPacket, GameWorld>, ip: IpPacket) {
     match ip {
-        IpPacket::ToServer { server, .. } => {
-            let g = GPacket::Ip(ip.clone());
+        IpPacket::ToServer { server: dst, .. }
+        | IpPacket::ToClient { client: dst, .. }
+        | IpPacket::Hello { server: dst, .. } => {
+            let g = GPacket::Ip(ip);
             let size = g.wire_size();
-            if ctx.send_toward(server, g, size).is_none() {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_NO_ROUTE, size);
-                ctx.world().bump(crate::drops::IP_NO_ROUTE);
-            }
-            let _ = ip;
-        }
-        IpPacket::ToClient { client, .. } => {
-            let g = GPacket::Ip(ip.clone());
-            let size = g.wire_size();
-            if ctx.send_toward(client, g, size).is_none() {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_NO_ROUTE, size);
-                ctx.world().bump(crate::drops::IP_NO_ROUTE);
-            }
-        }
-        IpPacket::Hello { server, .. } => {
-            let g = GPacket::Ip(ip.clone());
-            let size = g.wire_size();
-            if ctx.send_toward(server, g, size).is_none() {
+            if ctx.send_toward(dst, g).is_none() {
                 ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_NO_ROUTE, size);
                 ctx.world().bump(crate::drops::IP_NO_ROUTE);
             }
@@ -133,8 +118,7 @@ pub(crate) fn forward_mcast(
             dsts: Arc::new(subset),
             inner: inner.clone(),
         });
-        let size = g.wire_size();
-        ctx.send(hop, g, size);
+        ctx.send(hop, g);
     }
 }
 
@@ -180,8 +164,7 @@ impl HybridEdgeRouter {
         for face in self.st.matching_faces(&m.cd, arrival, None) {
             if let Some(node) = self.faces.node_of(face) {
                 let g = GPacket::Copss(CopssPacket::Multicast(m.clone()));
-                let size = g.wire_size();
-                ctx.send(node, g, size);
+                ctx.send(node, g);
             }
         }
     }

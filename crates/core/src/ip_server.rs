@@ -153,8 +153,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
                 client,
                 update: update.clone(),
             });
-            let size = g.wire_size();
-            ctx.send_toward(client, g, size);
+            ctx.send_toward(client, g);
             recipients += 1;
         }
         if ctx.telemetry_enabled() {
@@ -243,8 +242,7 @@ impl IpClient {
                 player: self.player,
                 client: me,
             });
-            let size = g.wire_size();
-            ctx.send(self.edge, g, size);
+            ctx.send(self.edge, g);
         }
         ctx.world().bump("client-reconnects");
     }
@@ -309,8 +307,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             server,
             update: IpUpdate { id, cd, size },
         });
-        let wire = g.wire_size();
-        ctx.send(self.edge, g, wire);
+        ctx.send(self.edge, g);
         self.schedule_next(ctx);
     }
 

@@ -24,7 +24,7 @@ use gcopss_compat::bytes::Bytes;
 use gcopss_game::{GameMap, PlayerId};
 use gcopss_names::Name;
 use gcopss_ndn::{Data, Interest};
-use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime};
+use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimPacket, SimTime};
 
 use crate::client::TraceCursor;
 use crate::{GPacket, GameWorld};
@@ -177,8 +177,7 @@ impl NdnPlayerClient {
         let name = player_prefix(self.producers[producer_idx]).child_index(seq as u32);
         let nonce = self.nonce();
         let g = GPacket::Interest(Interest::new(name, nonce));
-        let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
         if ctx.telemetry_enabled() {
             ctx.counter("ndn-interests-expressed", 1);
         }
@@ -194,7 +193,7 @@ impl NdnPlayerClient {
         let data = Data::with_freshness(name, encode_batch(ids, *bytes), 500_000_000);
         let g = GPacket::Data(data);
         let size = g.wire_size();
-        ctx.send(self.edge, g, size);
+        ctx.send(self.edge, g);
         if ctx.telemetry_enabled() {
             ctx.counter("ndn-batches-answered", 1);
             ctx.observe("ndn-batch-bytes", u64::from(size));

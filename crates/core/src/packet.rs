@@ -5,7 +5,7 @@ use std::sync::Arc;
 use gcopss_compat::bytes::Bytes;
 use gcopss_copss::{CopssPacket, MulticastPacket, RpId};
 use gcopss_ndn::{Data, Interest};
-use gcopss_sim::NodeId;
+use gcopss_sim::{NodeId, SimPacket};
 
 /// A shared 4 KiB buffer used to materialize payloads of arbitrary size
 /// without per-packet allocation: `payload_of(n)` is a zero-copy slice.
@@ -151,9 +151,15 @@ impl GPacket {
         }
     }
 
-    /// Wire size as `u32` (what the simulator's send API takes).
-    #[must_use]
-    pub fn wire_size(&self) -> u32 {
+    /// `true` for names under the `/snapmani` manifest namespace.
+    fn is_manifest(name: &gcopss_names::Name) -> bool {
+        name.get(0).is_some_and(|c| c.as_str() == "snapmani")
+    }
+}
+
+impl SimPacket for GPacket {
+    /// [`GPacket::encoded_len`], saturated to `u32`.
+    fn wire_size(&self) -> u32 {
         u32::try_from(self.encoded_len()).unwrap_or(u32::MAX)
     }
 
@@ -163,8 +169,7 @@ impl GPacket {
     /// `ToRp`, IP unicast/multicast), so one published update is one
     /// lineage no matter which system carries it. NDN Interests and Data
     /// derive tagged name-hash ids. Control traffic is untraced.
-    #[must_use]
-    pub fn lineage_id(&self) -> Option<u64> {
+    fn lineage_id(&self) -> Option<u64> {
         match self {
             Self::Copss(p) => p.lineage_id(),
             Self::ToRp { inner, .. } | Self::Ip(IpPacket::Mcast { inner, .. }) => {
@@ -187,8 +192,7 @@ impl GPacket {
     /// tell a rejoining client what to fetch) — must survive overload for
     /// the system to recover, so it outranks bulk data (position updates,
     /// chunk transfers) in bounded queues and is never AQM-shed.
-    #[must_use]
-    pub fn priority(&self) -> u8 {
+    fn priority(&self) -> u8 {
         match self {
             Self::Copss(CopssPacket::Multicast(_)) => 1,
             Self::Copss(_) | Self::Control { .. } | Self::Ip(IpPacket::Hello { .. }) => 0,
@@ -196,11 +200,6 @@ impl GPacket {
             Self::Interest(i) => u8::from(!Self::is_manifest(&i.name)),
             Self::Data(d) => u8::from(!Self::is_manifest(&d.name)),
         }
-    }
-
-    /// `true` for names under the `/snapmani` manifest namespace.
-    fn is_manifest(name: &gcopss_names::Name) -> bool {
-        name.get(0).is_some_and(|c| c.as_str() == "snapmani")
     }
 
     /// Overload-control supersede key: packets with equal keys carry
@@ -213,8 +212,7 @@ impl GPacket {
     /// a CD's newest update stands in for the area's current state, which
     /// is exactly the freshness-over-completeness trade a game makes under
     /// overload. Control traffic and chunk transfers never supersede.
-    #[must_use]
-    pub fn supersede_key(&self) -> Option<u64> {
+    fn supersede_key(&self) -> Option<u64> {
         /// Mixes a leg discriminant into the CD hash (splitmix-style odd
         /// constant, so adjacent ids spread).
         fn mix(h: u64, leg: u64) -> u64 {
@@ -245,8 +243,7 @@ impl GPacket {
     }
 
     /// Short tag for counters and logs.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             Self::Copss(p) => p.kind(),
             Self::ToRp { .. } => "to-rp",

@@ -286,8 +286,7 @@ impl GCopssRouter {
     fn send_copss(&self, ctx: &mut Ctx<'_, GPacket, GameWorld>, face: FaceId, pkt: CopssPacket) {
         if let Some(node) = self.faces.node_of(face) {
             let g = GPacket::Copss(pkt);
-            let size = g.wire_size();
-            ctx.send(node, g, size);
+            ctx.send(node, g);
         }
     }
 
@@ -448,8 +447,7 @@ impl GCopssRouter {
                             rp: old_rp,
                             inner: tagged.clone(),
                         };
-                        let size = g.wire_size();
-                        ctx.send(node, g, size);
+                        ctx.send(node, g);
                     }
                 }
             }
@@ -662,8 +660,7 @@ impl GCopssRouter {
                     old_rp,
                 },
             };
-            let size = ctrl.wire_size();
-            ctx.send(hop, ctrl, size);
+            ctx.send(hop, ctrl);
         }
 
         // Old-tree grace: keep multicasting the moved CDs ourselves until
@@ -708,9 +705,8 @@ impl GCopssRouter {
                                 rp: new_rp,
                                 inner: inner.on_tree(rp),
                             };
-                            let size = g.wire_size();
                             if let Some(node) = self.faces.node_of(face) {
-                                ctx.send(node, g, size);
+                                ctx.send(node, g);
                             }
                         } else {
                             ctx.emit(TraceEvent::Drop, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
@@ -741,8 +737,7 @@ impl GCopssRouter {
                 Some(face) => {
                     if let Some(node) = self.faces.node_of(face) {
                         let g = GPacket::ToRp { rp, inner };
-                        let size = g.wire_size();
-                        ctx.send(node, g, size);
+                        ctx.send(node, g);
                     }
                 }
                 None => {
@@ -962,15 +957,13 @@ impl GCopssRouter {
                 NdnAction::SendInterest { face, interest } => {
                     if let Some(node) = self.faces.node_of(face) {
                         let g = GPacket::Interest(interest);
-                        let size = g.wire_size();
-                        ctx.send(node, g, size);
+                        ctx.send(node, g);
                     }
                 }
                 NdnAction::SendData { face, data } => {
                     if let Some(node) = self.faces.node_of(face) {
                         let g = GPacket::Data(data);
-                        let size = g.wire_size();
-                        ctx.send(node, g, size);
+                        ctx.send(node, g);
                     }
                 }
             }
@@ -1233,8 +1226,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                         }
                     }
                     let g = GPacket::Control { dst, inner };
-                    let size = g.wire_size();
-                    ctx.send_toward(dst, g, size);
+                    ctx.send_toward(dst, g);
                 }
             }
             GPacket::ToRp { rp, inner } => {

@@ -11,8 +11,7 @@ use gcopss_names::Name;
 use gcopss_ndn::FaceId;
 use gcopss_sim::generators::{attach_hosts, benchmark_testbed, rocketfuel_like, BackboneParams};
 use gcopss_sim::{
-    FaultPlan, NodeBehavior, NodeId, OverloadConfig, RoutingTable, SimDuration, Simulator,
-    StreamConfig, Topology,
+    FaultPlan, NodeBehavior, NodeId, OverloadConfig, SimDuration, Simulator, StreamConfig, Topology,
 };
 
 use crate::client::{CatchUpConfig, GamePlayerClient, TraceCursor};
@@ -552,6 +551,26 @@ fn default_gcopss_factory<'a>(
     })
 }
 
+/// The opening every assembler shares: a simulator with shortest-path
+/// routing over `topology`, a fresh [`GameWorld`] (recording deliveries
+/// when `delivery_log`), and the optional overload config installed.
+fn new_sim(
+    topology: Topology,
+    metrics_mode: MetricsMode,
+    delivery_log: bool,
+    overload: Option<&OverloadConfig>,
+) -> Simulator<GPacket, GameWorld> {
+    let mut world = GameWorld::new(metrics_mode);
+    if delivery_log {
+        world = world.with_delivery_log();
+    }
+    let mut sim = Simulator::new(topology, world);
+    if let Some(ov) = overload {
+        sim.install_overload(ov.clone());
+    }
+    sim
+}
+
 fn assemble_gcopss(
     cfg: GcopssConfig,
     net: &NetworkSpec,
@@ -561,7 +580,6 @@ fn assemble_gcopss(
     extra_hosts: Vec<ExtraHost>,
     mut client_factory: ClientFactory<'_>,
 ) -> GcopssSim {
-    let _ = map;
     let mut bn = net.build();
     let player_nodes = attach_hosts(
         &mut bn.topology,
@@ -582,8 +600,6 @@ fn assemble_gcopss(
         extra_nodes.push(node);
         extra_makes.push((node, h.attach_to, h.routes, h.make));
     }
-    let routing = RoutingTable::shortest_paths(&bn.topology);
-
     // Initial RP assignment.
     let groups = rp_prefix_partition(map, cfg.rp_count);
     let mut rp_table = RpTable::new();
@@ -612,22 +628,16 @@ fn assemble_gcopss(
         rp_nodes.insert(rp, *node);
     }
 
-    let mut world = GameWorld::new(cfg.metrics_mode);
-    if cfg.delivery_log {
-        world = world.with_delivery_log();
-    }
+    let mut sim = new_sim(
+        bn.topology,
+        cfg.metrics_mode,
+        cfg.delivery_log,
+        cfg.overload.as_ref(),
+    );
+    let world = sim.world_mut();
     world.next_rp_id = cfg.rp_count as u32;
     for (rp, node) in &rp_nodes {
         world.rp_locations.insert(rp.0, node.0);
-    }
-
-    let mut sim = Simulator::with_routing(bn.topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
-    if let Some(ov) = cfg.overload.clone() {
-        sim.install_overload(ov);
     }
     sim.install_streams(cfg.stream.clone());
 
@@ -777,20 +787,12 @@ fn assemble_ip_server(
             .expect("server attaches to a known router");
         server_nodes.push(node);
     }
-    let routing = RoutingTable::shortest_paths(&bn.topology);
-
-    let mut world = GameWorld::new(cfg.metrics_mode);
-    if cfg.delivery_log {
-        world = world.with_delivery_log();
-    }
-    let mut sim = Simulator::with_routing(bn.topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
-    if let Some(ov) = cfg.overload.clone() {
-        sim.install_overload(ov);
-    }
+    let mut sim = new_sim(
+        bn.topology,
+        cfg.metrics_mode,
+        cfg.delivery_log,
+        cfg.overload.as_ref(),
+    );
 
     // Plain IP routers (a G-COPSS router with no RPs forwards IP packets).
     for &r in &bn.routers {
@@ -903,19 +905,12 @@ fn assemble_hybrid(
         SimDuration::from_millis(1),
         "player",
     );
-    let routing = RoutingTable::shortest_paths(&bn.topology);
-    let mut world = GameWorld::new(cfg.metrics_mode);
-    if cfg.delivery_log {
-        world = world.with_delivery_log();
-    }
-    let mut sim = Simulator::with_routing(bn.topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
-    if let Some(ov) = cfg.overload.clone() {
-        sim.install_overload(ov);
-    }
+    let mut sim = new_sim(
+        bn.topology,
+        cfg.metrics_mode,
+        cfg.delivery_log,
+        cfg.overload.as_ref(),
+    );
 
     for &r in &bn.routers {
         let faces = FaceMap::new(sim.topology(), r);
@@ -1020,19 +1015,12 @@ fn assemble_ndn_baseline(
         SimDuration::from_millis(1),
         "player",
     );
-    let routing = RoutingTable::shortest_paths(&bn.topology);
-    let mut world = GameWorld::new(cfg.metrics_mode);
-    if cfg.delivery_log {
-        world = world.with_delivery_log();
-    }
-    let mut sim = Simulator::with_routing(bn.topology, routing, world);
-    sim.set_packet_kinds(GPacket::kind);
-    sim.set_lineage_ids(GPacket::lineage_id);
-    sim.set_priorities(GPacket::priority);
-    sim.set_supersede_keys(GPacket::supersede_key);
-    if let Some(ov) = cfg.overload.clone() {
-        sim.install_overload(ov);
-    }
+    let mut sim = new_sim(
+        bn.topology,
+        cfg.metrics_mode,
+        cfg.delivery_log,
+        cfg.overload.as_ref(),
+    );
 
     // NDN routers with /player/<id> routes toward every player host.
     for &r in &bn.routers {

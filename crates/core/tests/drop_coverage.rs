@@ -123,54 +123,46 @@ fn gcopss_chaos(seen: &mut BTreeSet<&'static str>) {
         .expect("player attached");
     // Host publication whose CD maps to no RP (the map only assigns /0../5).
     let p = GPacket::Copss(CopssPacket::Multicast(mcast("/99/1", INJECT_ID)));
-    let size = p.wire_size();
-    built.sim.inject(t, edge, p, size);
+    built.sim.inject(t, edge, p);
     // Transit ToRp toward an RP no FIB route exists for.
     let p = GPacket::ToRp {
         rp: RpId(77),
         inner: mcast("/1/1", INJECT_ID + 1),
     };
-    let size = p.wire_size();
-    built.sim.inject(t, edge, p, size);
+    built.sim.inject(t, edge, p);
     // ToRp reaching its RP with a CD the RP table does not serve.
     let p = GPacket::ToRp {
         rp: RpId(0),
         inner: mcast("/99/2", INJECT_ID + 2),
     };
-    let size = p.wire_size();
-    built.sim.inject(t, rp0_node, p, size);
+    built.sim.inject(t, rp0_node, p);
     // The same multicast twice at one player: the second copy must hit the
     // dedup window.
     for _ in 0..2 {
         let p = GPacket::Copss(CopssPacket::Multicast(mcast("/1/1", INJECT_ID + 3)));
-        let size = p.wire_size();
-        built.sim.inject(t, player, p, size);
+        built.sim.inject(t, player, p);
     }
     // An interest the broker cannot parse as snapshot or stream control.
     let p = GPacket::Interest(Interest::new(Name::parse_lit("/bogus/1"), 9_001));
-    let size = p.wire_size();
-    built.sim.inject(t, built.extra_nodes[0], p, size);
+    built.sim.inject(t, built.extra_nodes[0], p);
     // A chunk interest for an id no broker holds: the expected miss on the
     // /chunk fan-out (chunk names carry no CD, so non-holders always miss).
     let p = GPacket::Interest(Interest::new(
         Name::parse_lit("/chunk/0000000000000000"),
         9_002,
     ));
-    let size = p.wire_size();
-    built.sim.inject(t, built.extra_nodes[0], p, size);
+    built.sim.inject(t, built.extra_nodes[0], p);
     // Chunk data whose bytes do not hash to its name: the client's
     // content-addressed integrity check must reject it.
     let p = GPacket::Data(Data::new(
         Name::parse_lit("/chunk/0000000000000000"),
         payload_of(8),
     ));
-    let size = p.wire_size();
-    built.sim.inject(t, player, p, size);
+    built.sim.inject(t, player, p);
     // Catch-up data arriving at a client with no fetch in flight (a
     // retransmit racing its original, or a stale delivery).
     let p = GPacket::Data(Data::new(Name::parse_lit("/snapmani/1/1"), payload_of(4)));
-    let size = p.wire_size();
-    built.sim.inject(t, player, p, size);
+    built.sim.inject(t, player, p);
 
     let horizon = SimTime::ZERO + warmup + span + SimDuration::from_secs(8);
     built.sim.run_until(horizon);
@@ -222,8 +214,7 @@ fn ndn_faults(seen: &mut BTreeSet<&'static str>) {
     // seq 0 from history.
     let name = player_prefix(PlayerId(0)).child_index(0);
     let p = GPacket::Interest(Interest::new(name, 9_002));
-    let size = p.wire_size();
-    built.sim.inject(at(9, 10), built.player_nodes[0], p, size);
+    built.sim.inject(at(9, 10), built.player_nodes[0], p);
 
     let horizon = SimTime::ZERO + warmup + span + SimDuration::from_secs(6);
     built.sim.run_until(horizon);
@@ -266,8 +257,7 @@ fn ip_server_crash(seen: &mut BTreeSet<&'static str>) {
 
     // A packet kind the server never expects.
     let p = GPacket::Interest(Interest::new(Name::parse_lit("/bogus/2"), 9_003));
-    let size = p.wire_size();
-    built.sim.inject(at(1, 10), server, p, size);
+    built.sim.inject(at(1, 10), server, p);
 
     // Player 0 publishes into an empty server map: every pop is a
     // no-server drop.
@@ -337,12 +327,10 @@ fn hybrid_filtering(seen: &mut BTreeSet<&'static str>) {
             size: 64,
         },
     });
-    let size = p.wire_size();
-    built.sim.inject(at(5, 10), edge, p, size);
+    built.sim.inject(at(5, 10), edge, p);
     // A packet kind hybrid edges never expect.
     let p = GPacket::Interest(Interest::new(Name::parse_lit("/bogus/3"), 9_004));
-    let size = p.wire_size();
-    built.sim.inject(at(5, 10), edge, p, size);
+    built.sim.inject(at(5, 10), edge, p);
 
     built.sim.run();
     harvest(&built.sim, seen);

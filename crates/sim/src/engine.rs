@@ -18,6 +18,40 @@ use crate::{
     Topology,
 };
 
+/// A packet the engine can carry: it knows its own wire size and, through
+/// the defaulted methods, how observers and overload control classify it.
+///
+/// The defaults describe an unclassified packet: telemetry class `"pkt"`,
+/// untraced, control class 0 (nothing outranks it, so priority shedding
+/// and CoDel spare it) and never superseded.
+pub trait SimPacket {
+    /// Bytes on the wire: link-load accounting, serialization delay and
+    /// the size field of every journal record.
+    fn wire_size(&self) -> u32;
+
+    /// Stable class name that tags telemetry records.
+    fn kind(&self) -> &'static str {
+        "pkt"
+    }
+
+    /// Lineage id of the traced message this packet carries (`None` for
+    /// traffic that should not be traced).
+    fn lineage_id(&self) -> Option<u64> {
+        None
+    }
+
+    /// Overload priority class: 0 = control plane, larger = bulk.
+    fn priority(&self) -> u8 {
+        0
+    }
+
+    /// Supersede key: with priorities on, an arrival at a full queue
+    /// evicts a queued packet with the same key (a stale update).
+    fn supersede_key(&self) -> Option<u64> {
+        None
+    }
+}
+
 /// The behavior of one node in the simulated network.
 ///
 /// A behavior is a state machine driven by the [`Simulator`]: it receives
@@ -91,7 +125,7 @@ pub struct Ctx<'a, P, W> {
     /// mark (sojourn overran the overload config's threshold at this or an
     /// upstream node). Always `false` outside packet service.
     marked: bool,
-    sends: Vec<(NodeId, P, u32)>,
+    sends: Vec<(NodeId, P)>,
     timers: Vec<(SimDuration, u64)>,
     extra_busy: SimDuration,
     stop: bool,
@@ -148,7 +182,7 @@ impl<P, W> Ctx<'_, P, W> {
         self.marked
     }
 
-    /// Sends `pkt` of `size_bytes` to a *neighboring* node.
+    /// Sends `pkt` to a *neighboring* node.
     ///
     /// The packet experiences the link's serialization delay (if the link
     /// has finite bandwidth) plus its propagation delay, then enters the
@@ -158,8 +192,8 @@ impl<P, W> Ctx<'_, P, W> {
     ///
     /// The engine panics when applying the effect if `to` is not adjacent to
     /// this node.
-    pub fn send(&mut self, to: NodeId, pkt: P, size_bytes: u32) {
-        self.sends.push((to, pkt, size_bytes));
+    pub fn send(&mut self, to: NodeId, pkt: P) {
+        self.sends.push((to, pkt));
     }
 
     /// Sends `pkt` one hop along the shortest path toward `dst`.
@@ -167,9 +201,9 @@ impl<P, W> Ctx<'_, P, W> {
     /// Convenience for behaviors that forward by destination (the IP
     /// baseline). Does nothing if `dst` is this node or unreachable;
     /// returns the chosen next hop.
-    pub fn send_toward(&mut self, dst: NodeId, pkt: P, size_bytes: u32) -> Option<NodeId> {
+    pub fn send_toward(&mut self, dst: NodeId, pkt: P) -> Option<NodeId> {
         let hop = self.routing.next_hop(self.node, dst)?;
-        self.send(hop, pkt, size_bytes);
+        self.send(hop, pkt);
         Some(hop)
     }
 
@@ -465,13 +499,9 @@ pub struct Simulator<P, W> {
     stopped: bool,
     on_start_done: bool,
     telemetry: Telemetry,
-    /// Maps packets to a stable class name for telemetry records.
-    packet_kinds: Option<fn(&P) -> &'static str>,
     /// Per-message causal span log; disabled (one branch per hook) by
     /// default.
     lineage: LineageLog,
-    /// Maps packets to their lineage id (`None` for control traffic).
-    lineage_ids: Option<fn(&P) -> Option<u64>>,
     /// Span of the packet currently being serviced; the causal parent of
     /// transmissions requested by the running behavior.
     cur_span: u32,
@@ -487,17 +517,11 @@ pub struct Simulator<P, W> {
     /// Live overload-control state; `None` unless a non-vacuous
     /// [`OverloadConfig`] was installed (same rule as `faults`).
     overload: Option<OverloadState>,
-    /// Maps packets to a priority class (0 = control plane, higher = bulk)
-    /// for the overload layer. Registering it alone is inert.
-    priorities: Option<fn(&P) -> u8>,
-    /// Maps packets to a supersede key: a newer arrival with the same key
-    /// makes queued older ones stale (position updates). Inert alone.
-    supersede_keys: Option<fn(&P) -> Option<u64>>,
     /// Congestion mark of the packet currently being serviced.
     cur_marked: bool,
 }
 
-impl<P, W> Simulator<P, W> {
+impl<P: SimPacket, W> Simulator<P, W> {
     /// Creates a simulator over `topology`, computing shortest-path routing,
     /// with all nodes initially running a drop-everything behavior.
     #[must_use]
@@ -527,16 +551,12 @@ impl<P, W> Simulator<P, W> {
             stopped: false,
             on_start_done: false,
             telemetry: Telemetry::disabled(n, l),
-            packet_kinds: None,
             lineage: LineageLog::disabled(),
-            lineage_ids: None,
             cur_span: NO_SPAN,
             timeseries: None,
             streams: MetricStreams::disabled(),
             faults: None,
             overload: None,
-            priorities: None,
-            supersede_keys: None,
             cur_marked: false,
             topology,
             routing,
@@ -656,21 +676,6 @@ impl<P, W> Simulator<P, W> {
         self.overload.as_ref().map_or(0, |o| o.marks)
     }
 
-    /// Registers the priority classifier used by overload control
-    /// (0 = control plane, larger = bulk; e.g. `GPacket::priority`).
-    /// Without an installed overload config this is inert.
-    pub fn set_priorities(&mut self, f: fn(&P) -> u8) {
-        self.priorities = Some(f);
-    }
-
-    /// Registers the supersede-key classifier used by overload control: an
-    /// arrival whose key equals a queued packet's key may evict the stale
-    /// one when the queue is full (e.g. `GPacket::supersede_key`). Inert
-    /// without an installed overload config.
-    pub fn set_supersede_keys(&mut self, f: fn(&P) -> Option<u64>) {
-        self.supersede_keys = Some(f);
-    }
-
     /// Packets dropped by fault injection so far, as
     /// `(link_lost, node_lost)`. Both zero when faults are not active.
     #[must_use]
@@ -709,23 +714,11 @@ impl<P, W> Simulator<P, W> {
         self.telemetry.enable(cfg);
     }
 
-    /// Registers the packet classifier used to tag telemetry records (e.g.
-    /// `GPacket::kind`). Unclassified packets are tagged `"pkt"`.
-    pub fn set_packet_kinds(&mut self, f: fn(&P) -> &'static str) {
-        self.packet_kinds = Some(f);
-    }
-
-    /// Switches per-message lineage tracing on. Requires a lineage-id
-    /// classifier ([`Simulator::set_lineage_ids`]) to have any effect;
-    /// until both are set every lineage hook reduces to a single branch.
+    /// Switches per-message lineage tracing on. Only packets whose
+    /// [`SimPacket::lineage_id`] is `Some` are traced; until this is called
+    /// every lineage hook reduces to a single branch.
     pub fn enable_lineage(&mut self, cfg: LineageConfig) {
         self.lineage.enable(cfg);
-    }
-
-    /// Registers the classifier mapping packets to their lineage id
-    /// (`None` for control traffic that should not be traced).
-    pub fn set_lineage_ids(&mut self, f: fn(&P) -> Option<u64>) {
-        self.lineage_ids = Some(f);
     }
 
     /// Read access to the lineage span log.
@@ -750,11 +743,6 @@ impl<P, W> Simulator<P, W> {
     #[must_use]
     pub fn timeseries_json(&self) -> Option<Json> {
         self.timeseries.as_ref().map(TimeSeries::to_json)
-    }
-
-    #[inline]
-    fn lineage_id_of(&self, pkt: &P) -> Option<u64> {
-        self.lineage_ids.and_then(|f| f(pkt))
     }
 
     /// Runs every due periodic sampler pass with timestamp before `upto`
@@ -833,11 +821,6 @@ impl<P, W> Simulator<P, W> {
         }
     }
 
-    #[inline]
-    fn classify(&self, pkt: &P) -> &'static str {
-        self.packet_kinds.map_or("pkt", |f| f(pkt))
-    }
-
     /// Installs the behavior of a node.
     ///
     /// # Panics
@@ -884,14 +867,14 @@ impl<P, W> Simulator<P, W> {
 
     /// Injects a packet from outside the network into `node`'s service queue
     /// at absolute time `at` (e.g. a trace event or an application request).
-    pub fn inject(&mut self, at: SimTime, node: NodeId, pkt: P, size_bytes: u32) {
+    pub fn inject(&mut self, at: SimTime, node: NodeId, pkt: P) {
         self.push_event(
             at,
             Event::Arrival {
                 node,
                 from: None,
+                size: pkt.wire_size(),
                 pkt,
-                size: size_bytes,
                 span: NO_SPAN,
                 marked: false,
             },
@@ -940,6 +923,12 @@ impl<P, W> Simulator<P, W> {
         self.events_processed
     }
 
+    /// Returns `true` if there are no pending events.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.events.is_empty()
+    }
+
     /// Runs every node's [`NodeBehavior::on_start`] hook, then processes
     /// events until the queue drains or a behavior calls [`Ctx::stop`].
     pub fn run(&mut self) {
@@ -960,18 +949,7 @@ impl<P, W> Simulator<P, W> {
                 let _ts = prof::scope("engine/timeseries");
                 self.flush_samplers(t, false);
             }
-            let ev = {
-                let _pop = prof::scope("engine/pop");
-                let Reverse((t, _, slot)) = self.events.pop().expect("peeked");
-                self.now = t;
-                let ev = self.payloads[slot as usize]
-                    .take()
-                    .expect("event payload present");
-                self.free_slots.push(slot as usize);
-                ev
-            };
-            self.events_processed += 1;
-            self.dispatch(ev);
+            self.pop_and_dispatch();
         }
         if limit < SimTime::MAX && !self.stopped {
             let _ts = prof::scope("engine/timeseries");
@@ -988,28 +966,35 @@ impl<P, W> Simulator<P, W> {
         self.start_all();
         let mut done = 0;
         while done < n && !self.stopped {
-            let popped = {
-                let _pop = prof::scope("engine/pop");
-                self.events.pop()
-            };
-            let Some(Reverse((t, _, slot))) = popped else {
+            let Some(&Reverse((t, _, _))) = self.events.peek() else {
                 break;
             };
             if self.timeseries.is_some() || self.streams.is_enabled() {
                 let _ts = prof::scope("engine/timeseries");
                 self.flush_samplers(t, false);
             }
-            self.now = t;
-            let ev = self.payloads[slot as usize]
-                .take()
-                .expect("event payload present");
-            self.free_slots.push(slot as usize);
-            self.events_processed += 1;
-            self.dispatch(ev);
+            self.pop_and_dispatch();
             done += 1;
         }
         self.prof_throughput(events_before);
         done
+    }
+
+    /// Pops the earliest pending event, advances the clock to it, frees
+    /// its payload slot and dispatches it. The caller has peeked, so the
+    /// queue is non-empty.
+    fn pop_and_dispatch(&mut self) {
+        let ev = {
+            let _pop = prof::scope("engine/pop");
+            let Reverse((t, _, slot)) = self.events.pop().expect("peeked");
+            self.now = t;
+            self.free_slots.push(slot as usize);
+            self.payloads[slot as usize]
+                .take()
+                .expect("event payload present")
+        };
+        self.events_processed += 1;
+        self.dispatch(ev);
     }
 
     /// Records the run's deterministic throughput inputs: events executed
@@ -1047,7 +1032,7 @@ impl<P, W> Simulator<P, W> {
                     // An injected packet enters the network here: open its
                     // root span (hops carry their span from `transmit`).
                     let _lin = prof::scope("engine/lineage");
-                    if let Some(lid) = self.lineage_id_of(&pkt) {
+                    if let Some(lid) = pkt.lineage_id() {
                         span = self.lineage.origin(lid, node.0, self.now);
                     }
                 }
@@ -1063,10 +1048,10 @@ impl<P, W> Simulator<P, W> {
                 }
                 if self.telemetry.is_enabled() {
                     let _tel = prof::scope("engine/telemetry");
-                    let class = self.classify(&pkt);
+                    let class = pkt.kind();
                     self.telemetry.packet_in(node.0, size);
                     if self.overload.is_some() {
-                        let ctl = self.priority_of(&pkt) == 0;
+                        let ctl = pkt.priority() == 0;
                         self.telemetry
                             .counter(node.0, if ctl { "ctl-in" } else { "bulk-in" }, 1);
                     }
@@ -1088,12 +1073,10 @@ impl<P, W> Simulator<P, W> {
                     // Class-ordered insertion, FIFO within a class: scan
                     // back over strictly-worse classes, never past the
                     // in-service front.
-                    let class = self.priorities.map_or(0, |f| f(&q.pkt));
+                    let class = q.pkt.priority();
                     let start = usize::from(st.serving);
                     let mut pos = st.queue.len();
-                    while pos > start
-                        && self.priorities.map_or(0, |f| f(&st.queue[pos - 1].pkt)) > class
-                    {
+                    while pos > start && st.queue[pos - 1].pkt.priority() > class {
                         pos -= 1;
                     }
                     st.queue.insert(pos, q);
@@ -1133,7 +1116,7 @@ impl<P, W> Simulator<P, W> {
                                 ts: self.now,
                                 node: node.0,
                                 event: TraceEvent::Mark,
-                                class: self.classify(&pkt),
+                                class: pkt.kind(),
                                 size,
                                 peer: u32::MAX,
                                 dur_ns: 0,
@@ -1143,7 +1126,7 @@ impl<P, W> Simulator<P, W> {
                 }
                 if self.telemetry.is_enabled() {
                     let _tel = prof::scope("engine/telemetry");
-                    let class = self.classify(&pkt);
+                    let class = pkt.kind();
                     self.telemetry.journal(TraceRecord {
                         ts: self.now,
                         node: node.0,
@@ -1317,13 +1300,6 @@ impl<P, W> Simulator<P, W> {
         }
     }
 
-    /// The arriving/queued packet's priority class (0 when no classifier
-    /// is registered — everything is control, i.e. nothing outranks).
-    #[inline]
-    fn priority_of(&self, pkt: &P) -> u8 {
-        self.priorities.map_or(0, |f| f(pkt))
-    }
-
     /// Admission control for an arrival at a bounded queue. Returns `true`
     /// when the arrival should be enqueued (possibly after evicting a
     /// queued victim); `false` when it was rejected (fully accounted here:
@@ -1351,16 +1327,14 @@ impl<P, W> Simulator<P, W> {
         let _ovp = prof::scope("engine/overload");
         let priority_on = ov.cfg.priority;
         let policy = ov.cfg.policy;
-        let arriving_class = self.priority_of(pkt);
+        let arriving_class = pkt.priority();
         // (1) Stale-superseded: the arrival carries a newer version of a
         // queued update — evict the stale copy, admit the fresh one.
         let mut victim: Option<(usize, &'static str)> = None;
         if priority_on {
-            if let Some(key) = self.supersede_keys.and_then(|f| f(pkt)) {
+            if let Some(key) = pkt.supersede_key() {
                 victim = (start..st.queue.len())
-                    .find(|&i| {
-                        self.supersede_keys.and_then(|f| f(&st.queue[i].pkt)) == Some(key)
-                    })
+                    .find(|&i| st.queue[i].pkt.supersede_key() == Some(key))
                     .map(|i| (i, "stale-superseded"));
             }
         }
@@ -1369,14 +1343,14 @@ impl<P, W> Simulator<P, W> {
         // head-drop evicts the oldest, drop-tail the newest.
         if victim.is_none() {
             let worst = (start..st.queue.len())
-                .map(|i| self.priority_of(&st.queue[i].pkt))
+                .map(|i| st.queue[i].pkt.priority())
                 .max()
                 .expect("full queue has a waiting packet");
             victim = match policy {
                 AdmissionPolicy::HeadDrop => {
                     let idx = if priority_on {
                         (start..st.queue.len())
-                            .find(|&i| self.priority_of(&st.queue[i].pkt) == worst)
+                            .find(|&i| st.queue[i].pkt.priority() == worst)
                             .expect("worst class present")
                     } else {
                         start
@@ -1386,7 +1360,7 @@ impl<P, W> Simulator<P, W> {
                 AdmissionPolicy::DropTail | AdmissionPolicy::CoDel { .. } => {
                     if priority_on && worst > arriving_class {
                         (start..st.queue.len())
-                            .rfind(|&i| self.priority_of(&st.queue[i].pkt) == worst)
+                            .rfind(|&i| st.queue[i].pkt.priority() == worst)
                             .map(|i| (i, "queue-full"))
                     } else {
                         None
@@ -1400,7 +1374,7 @@ impl<P, W> Simulator<P, W> {
                     .queue
                     .remove(i)
                     .expect("victim index in range");
-                let ctl = self.priority_of(&q.pkt) == 0;
+                let ctl = q.pkt.priority() == 0;
                 self.lineage.mark_dropped(q.span, reason, self.now);
                 self.overload_drop(node, q.from, q.size, reason, ctl);
                 true
@@ -1462,7 +1436,7 @@ impl<P, W> Simulator<P, W> {
             .map_or(SimDuration::ZERO, |b| b.service_time(&front.pkt));
         if self.telemetry.is_enabled() {
             let _tel = prof::scope("engine/telemetry");
-            let class = self.classify(&front.pkt);
+            let class = front.pkt.kind();
             let size = front.size;
             let wait = self.now.saturating_duration_since(front.at);
             self.telemetry.service_started(node.0, wait, service);
@@ -1506,8 +1480,7 @@ impl<P, W> Simulator<P, W> {
             let Some(front) = st.queue.front() else {
                 return;
             };
-            let can_drop = st.queue.len() > 1
-                && !(priority_on && self.priorities.map_or(0, |f| f(&front.pkt)) == 0);
+            let can_drop = st.queue.len() > 1 && !(priority_on && front.pkt.priority() == 0);
             let sojourn = self.now.saturating_duration_since(front.at);
             let shed = self
                 .overload
@@ -1522,7 +1495,7 @@ impl<P, W> Simulator<P, W> {
                 .queue
                 .pop_front()
                 .expect("non-empty");
-            let ctl = self.priority_of(&q.pkt) == 0;
+            let ctl = q.pkt.priority() == 0;
             self.lineage.mark_dropped(q.span, "aqm-shed", self.now);
             self.overload_drop(node, q.from, q.size, "aqm-shed", ctl);
         }
@@ -1568,8 +1541,8 @@ impl<P, W> Simulator<P, W> {
         if stop {
             self.stopped = true;
         }
-        for (to, pkt, size) in sends {
-            self.transmit(node, to, pkt, size);
+        for (to, pkt) in sends {
+            self.transmit(node, to, pkt);
         }
         let epoch = self.nodes[node.index()].epoch;
         for (delay, key) in timers {
@@ -1583,15 +1556,16 @@ impl<P, W> Simulator<P, W> {
         self.with_behavior(node, |b, ctx| b.on_timer(ctx, key));
     }
 
-    fn transmit(&mut self, from: NodeId, to: NodeId, pkt: P, size: u32) {
+    fn transmit(&mut self, from: NodeId, to: NodeId, pkt: P) {
         let _tx = prof::scope("engine/transmit");
+        let size = pkt.wire_size();
         let link = self
             .topology
             .link_between(from, to)
             .unwrap_or_else(|| panic!("{from} is not adjacent to {to}"));
         let mut cause = self.cur_span;
         let lid = if self.lineage.is_enabled() {
-            self.lineage_id_of(&pkt)
+            pkt.lineage_id()
         } else {
             None
         };
@@ -1626,7 +1600,7 @@ impl<P, W> Simulator<P, W> {
         self.link_bytes[idx] += u64::from(size);
         if self.telemetry.is_enabled() {
             let _tel = prof::scope("engine/telemetry");
-            let class = self.classify(&pkt);
+            let class = pkt.kind();
             self.telemetry.packet_out(from.0, idx, size);
             self.telemetry.journal(TraceRecord {
                 ts: self.now,
@@ -1688,19 +1662,42 @@ impl<P, W> Simulator<P, W> {
     }
 }
 
-// `on_start_done` lives outside the main struct body above for readability;
-// define it here.
-impl<P, W> Simulator<P, W> {
-    /// Returns `true` if there are no pending events.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test packet `(id, wire size)`. Behaviors record the id; the
+    /// classification keys off it too: even/odd telemetry kinds, lineage
+    /// ids below 1000 traced, ids below 100 control and the rest bulk,
+    /// with bulk superseding per last digit.
+    #[derive(Debug, Clone, Copy)]
+    struct Pkt(u32, u32);
+
+    impl SimPacket for Pkt {
+        fn wire_size(&self) -> u32 {
+            self.1
+        }
+
+        fn kind(&self) -> &'static str {
+            if self.0.is_multiple_of(2) {
+                "even"
+            } else {
+                "odd"
+            }
+        }
+
+        fn lineage_id(&self) -> Option<u64> {
+            (self.0 < 1000).then_some(u64::from(self.0))
+        }
+
+        fn priority(&self) -> u8 {
+            u8::from(self.0 >= 100)
+        }
+
+        fn supersede_key(&self) -> Option<u64> {
+            (self.0 >= 100).then_some(u64::from(self.0 % 10))
+        }
+    }
 
     #[derive(Default)]
     struct World {
@@ -1712,21 +1709,21 @@ mod tests {
         service: SimDuration,
     }
 
-    impl NodeBehavior<u32, World> for Relay {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _from: Option<NodeId>, pkt: u32) {
+    impl NodeBehavior<Pkt, World> for Relay {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _from: Option<NodeId>, pkt: Pkt) {
             let now = ctx.now().as_nanos();
-            ctx.world().arrivals.push((now, pkt));
+            ctx.world().arrivals.push((now, pkt.0));
             if let Some(to) = self.to {
-                ctx.send(to, pkt, 100);
+                ctx.send(to, Pkt(pkt.0, 100));
             }
         }
 
-        fn service_time(&self, _pkt: &u32) -> SimDuration {
+        fn service_time(&self, _pkt: &Pkt) -> SimDuration {
             self.service
         }
     }
 
-    fn two_node_sim(service_b: SimDuration, bw: Option<u64>) -> (Simulator<u32, World>, NodeId, NodeId) {
+    fn two_node_sim(service_b: SimDuration, bw: Option<u64>) -> (Simulator<Pkt, World>, NodeId, NodeId) {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let b = t.add_node("b");
@@ -1752,7 +1749,7 @@ mod tests {
     #[test]
     fn propagation_delay_applied() {
         let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, None);
-        sim.inject(SimTime::ZERO, a, 7, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(7, 100));
         sim.run();
         // Arrival at a at t=0, forwarded, arrives at b at 1ms.
         assert_eq!(sim.world().arrivals, vec![(0, 7), (1_000_000, 7)]);
@@ -1762,8 +1759,8 @@ mod tests {
     fn fifo_queueing_at_busy_server() {
         let (mut sim, a, b) = two_node_sim(SimDuration::from_millis(10), None);
         // Two packets injected back to back; b serves them serially.
-        sim.inject(SimTime::ZERO, a, 1, 100);
-        sim.inject(SimTime::ZERO, a, 2, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 100));
+        sim.inject(SimTime::ZERO, a, Pkt(2, 100));
         sim.run();
         let b_arrivals: Vec<_> = sim
             .world()
@@ -1783,8 +1780,8 @@ mod tests {
         // 100 bytes at 100_000 B/s = 1ms tx. Two packets: second waits for
         // the first's serialization.
         let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, Some(100_000));
-        sim.inject(SimTime::ZERO, a, 1, 100);
-        sim.inject(SimTime::ZERO, a, 2, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 100));
+        sim.inject(SimTime::ZERO, a, Pkt(2, 100));
         sim.run();
         let b_arrivals: Vec<_> = sim
             .world()
@@ -1799,8 +1796,8 @@ mod tests {
     #[test]
     fn link_byte_accounting() {
         let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, None);
-        sim.inject(SimTime::ZERO, a, 1, 100);
-        sim.inject(SimTime::ZERO, a, 2, 50);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 100));
+        sim.inject(SimTime::ZERO, a, Pkt(2, 50));
         sim.run();
         // Injections do not traverse links; a's relay forwards each packet
         // as 100 bytes, so the a-b link carries 200 bytes total.
@@ -1811,8 +1808,8 @@ mod tests {
     #[test]
     fn run_until_stops_at_limit() {
         let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, None);
-        sim.inject(SimTime::ZERO, a, 1, 100);
-        sim.inject(SimTime::from_millis(100), a, 2, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 100));
+        sim.inject(SimTime::from_millis(100), a, Pkt(2, 100));
         sim.run_until(SimTime::from_millis(50));
         // Second injection still pending.
         assert!(!sim.is_idle());
@@ -1825,15 +1822,15 @@ mod tests {
         fired: Vec<u64>,
     }
 
-    impl NodeBehavior<u32, World> for TimerNode {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32, World>) {
+    impl NodeBehavior<Pkt, World> for TimerNode {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Pkt, World>) {
             ctx.schedule(SimDuration::from_millis(5), 42);
             ctx.schedule(SimDuration::from_millis(1), 41);
         }
 
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_, u32, World>, _from: Option<NodeId>, _pkt: u32) {}
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_, Pkt, World>, _from: Option<NodeId>, _pkt: Pkt) {}
 
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, World>, key: u64) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Pkt, World>, key: u64) {
             let now = ctx.now().as_nanos();
             ctx.world().arrivals.push((now, key as u32));
             self.fired.push(key);
@@ -1854,11 +1851,11 @@ mod tests {
     }
 
     struct Stopper;
-    impl NodeBehavior<u32, World> for Stopper {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _from: Option<NodeId>, pkt: u32) {
+    impl NodeBehavior<Pkt, World> for Stopper {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _from: Option<NodeId>, pkt: Pkt) {
             let now = ctx.now().as_nanos();
-            ctx.world().arrivals.push((now, pkt));
-            if pkt == 2 {
+            ctx.world().arrivals.push((now, pkt.0));
+            if pkt.0 == 2 {
                 ctx.stop();
             }
         }
@@ -1871,17 +1868,17 @@ mod tests {
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(a, Box::new(Stopper));
         for (i, ms) in [(1u32, 0u64), (2, 1), (3, 2)] {
-            sim.inject(SimTime::from_millis(ms), a, i, 10);
+            sim.inject(SimTime::from_millis(ms), a, Pkt(i, 10));
         }
         sim.run();
         assert_eq!(sim.world().arrivals.len(), 2);
     }
 
     struct Consumer;
-    impl NodeBehavior<u32, World> for Consumer {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _from: Option<NodeId>, pkt: u32) {
+    impl NodeBehavior<Pkt, World> for Consumer {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _from: Option<NodeId>, pkt: Pkt) {
             let now = ctx.now().as_nanos();
-            ctx.world().arrivals.push((now, pkt));
+            ctx.world().arrivals.push((now, pkt.0));
             // Each packet costs an extra 10ms of post-processing.
             ctx.consume(SimDuration::from_millis(10));
         }
@@ -1893,8 +1890,8 @@ mod tests {
         let a = t.add_node("a");
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(a, Box::new(Consumer));
-        sim.inject(SimTime::ZERO, a, 1, 10);
-        sim.inject(SimTime::ZERO, a, 2, 10);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 10));
+        sim.inject(SimTime::ZERO, a, Pkt(2, 10));
         sim.run();
         // pkt1 processed at 0, then 10ms of extra work before pkt2.
         assert_eq!(sim.world().arrivals, vec![(0, 1), (10_000_000, 2)]);
@@ -1904,8 +1901,8 @@ mod tests {
     fn deterministic_tie_breaking() {
         // Two packets at the same instant keep injection order.
         let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, None);
-        sim.inject(SimTime::from_millis(1), a, 10, 1);
-        sim.inject(SimTime::from_millis(1), a, 20, 1);
+        sim.inject(SimTime::from_millis(1), a, Pkt(10, 1));
+        sim.inject(SimTime::from_millis(1), a, Pkt(20, 1));
         sim.run();
         let pkts: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         assert_eq!(pkts, vec![10, 20, 10, 20]);
@@ -1921,23 +1918,22 @@ mod tests {
         t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
         t.try_add_link(b, c, SimDuration::from_millis(1), None).unwrap();
         struct Bad(NodeId);
-        impl NodeBehavior<u32, World> for Bad {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, p: u32) {
-                ctx.send(self.0, p, 1);
+        impl NodeBehavior<Pkt, World> for Bad {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, p: Pkt) {
+                ctx.send(self.0, p);
             }
         }
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(a, Box::new(Bad(c)));
-        sim.inject(SimTime::ZERO, a, 1, 1);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 1));
         sim.run();
     }
 
-    fn telemetry_sim() -> (Simulator<u32, World>, NodeId, NodeId) {
+    fn telemetry_sim() -> (Simulator<Pkt, World>, NodeId, NodeId) {
         let (mut sim, a, b) = two_node_sim(SimDuration::from_millis(10), None);
-        sim.set_packet_kinds(|p| if *p % 2 == 0 { "even" } else { "odd" });
         sim.enable_telemetry(TelemetryConfig::default());
-        sim.inject(SimTime::ZERO, a, 1, 100);
-        sim.inject(SimTime::ZERO, a, 2, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 100));
+        sim.inject(SimTime::ZERO, a, Pkt(2, 100));
         sim.run();
         (sim, a, b)
     }
@@ -1990,7 +1986,7 @@ mod tests {
     #[test]
     fn telemetry_disabled_keeps_zeroes() {
         let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, None);
-        sim.inject(SimTime::ZERO, a, 1, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 100));
         sim.run();
         assert!(!sim.telemetry().is_enabled());
         assert!(sim.telemetry().journal_records().is_empty());
@@ -2000,8 +1996,8 @@ mod tests {
     #[test]
     fn ctx_emit_and_counter_flow_into_report() {
         struct Dropper;
-        impl NodeBehavior<u32, World> for Dropper {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, _p: u32) {
+        impl NodeBehavior<Pkt, World> for Dropper {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, _p: Pkt) {
                 ctx.counter("seen", 1);
                 ctx.observe("size", 64);
                 ctx.gauge("depth", 3);
@@ -2013,7 +2009,7 @@ mod tests {
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(a, Box::new(Dropper));
         sim.enable_telemetry(TelemetryConfig::default());
-        sim.inject(SimTime::ZERO, a, 1, 64);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 64));
         sim.run();
         assert_eq!(sim.telemetry().counter_value(0, "seen"), 1);
         assert_eq!(sim.telemetry().counter_value(0, "drop"), 1);
@@ -2038,9 +2034,9 @@ mod tests {
                 .link_down(SimTime::from_millis(10), LinkId(0))
                 .link_up(SimTime::from_millis(30), LinkId(0)),
         );
-        sim.inject(SimTime::from_millis(0), a, 1, 100); // delivered
-        sim.inject(SimTime::from_millis(20), a, 2, 100); // link down: lost
-        sim.inject(SimTime::from_millis(40), a, 3, 100); // repaired: delivered
+        sim.inject(SimTime::from_millis(0), a, Pkt(1, 100)); // delivered
+        sim.inject(SimTime::from_millis(20), a, Pkt(2, 100)); // link down: lost
+        sim.inject(SimTime::from_millis(40), a, Pkt(3, 100)); // repaired: delivered
         sim.run();
         let b_pkts: Vec<u32> = sim
             .world()
@@ -2060,7 +2056,7 @@ mod tests {
             let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, None);
             sim.install_faults(FaultPlan::new(seed).with_loss(0.5));
             for i in 0..100u32 {
-                sim.inject(SimTime::from_millis(u64::from(i)), a, i, 100);
+                sim.inject(SimTime::from_millis(u64::from(i)), a, Pkt(i, 100));
             }
             sim.run();
             // Both relays record: a packet seen twice survived the a->b hop.
@@ -2090,11 +2086,11 @@ mod tests {
     fn node_crash_flushes_queue_and_restart_notifies() {
         /// Forwards to `0` without recording; records fault notices.
         struct Source(NodeId);
-        impl NodeBehavior<u32, World> for Source {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, p: u32) {
-                ctx.send(self.0, p, 100);
+        impl NodeBehavior<Pkt, World> for Source {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, p: Pkt) {
+                ctx.send(self.0, p);
             }
-            fn on_fault(&mut self, ctx: &mut Ctx<'_, u32, World>, notice: FaultNotice) {
+            fn on_fault(&mut self, ctx: &mut Ctx<'_, Pkt, World>, notice: FaultNotice) {
                 let now = ctx.now().as_nanos();
                 let tag = match notice {
                     FaultNotice::LinkDown { .. } => 9_001,
@@ -2106,18 +2102,18 @@ mod tests {
         }
         /// Slow sink that records completed packets and its own restart.
         struct Sink;
-        impl NodeBehavior<u32, World> for Sink {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, p: u32) {
+        impl NodeBehavior<Pkt, World> for Sink {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, p: Pkt) {
                 let now = ctx.now().as_nanos();
-                ctx.world().arrivals.push((now, p));
+                ctx.world().arrivals.push((now, p.0));
             }
-            fn on_fault(&mut self, ctx: &mut Ctx<'_, u32, World>, notice: FaultNotice) {
+            fn on_fault(&mut self, ctx: &mut Ctx<'_, Pkt, World>, notice: FaultNotice) {
                 if notice == FaultNotice::Restarted {
                     let now = ctx.now().as_nanos();
                     ctx.world().arrivals.push((now, 9_003));
                 }
             }
-            fn service_time(&self, _pkt: &u32) -> SimDuration {
+            fn service_time(&self, _pkt: &Pkt) -> SimDuration {
                 SimDuration::from_millis(10)
             }
         }
@@ -2137,10 +2133,10 @@ mod tests {
         // service), the other two still queued/being served when b crashes
         // at 15ms.
         for i in 1..=3u32 {
-            sim.inject(SimTime::ZERO, a, i, 100);
+            sim.inject(SimTime::ZERO, a, Pkt(i, 100));
         }
         // After restart, a fresh packet must flow again.
-        sim.inject(SimTime::from_millis(60), a, 7, 100);
+        sim.inject(SimTime::from_millis(60), a, Pkt(7, 100));
         sim.run();
         let tags: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         // a sees LinkDown (peer crash) and LinkUp (peer restart); b sees
@@ -2159,16 +2155,16 @@ mod tests {
     #[test]
     fn timers_do_not_survive_a_crash() {
         struct Arm;
-        impl NodeBehavior<u32, World> for Arm {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32, World>) {
+        impl NodeBehavior<Pkt, World> for Arm {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Pkt, World>) {
                 ctx.schedule(SimDuration::from_millis(20), 1);
             }
-            fn on_packet(&mut self, _c: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, _p: u32) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, World>, key: u64) {
+            fn on_packet(&mut self, _c: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, _p: Pkt) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Pkt, World>, key: u64) {
                 let now = ctx.now().as_nanos();
                 ctx.world().arrivals.push((now, key as u32));
             }
-            fn on_fault(&mut self, ctx: &mut Ctx<'_, u32, World>, notice: FaultNotice) {
+            fn on_fault(&mut self, ctx: &mut Ctx<'_, Pkt, World>, notice: FaultNotice) {
                 if notice == FaultNotice::Restarted {
                     ctx.schedule(SimDuration::from_millis(5), 2);
                 }
@@ -2201,12 +2197,12 @@ mod tests {
         t.try_add_link(b, c, SimDuration::from_millis(1), None).unwrap();
         t.try_add_link(a, c, SimDuration::from_millis(5), None).unwrap();
         struct Fwd(NodeId);
-        impl NodeBehavior<u32, World> for Fwd {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, p: u32) {
+        impl NodeBehavior<Pkt, World> for Fwd {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, p: Pkt) {
                 let now = ctx.now().as_nanos();
-                ctx.world().arrivals.push((now, p));
+                ctx.world().arrivals.push((now, p.0));
                 if ctx.node() != self.0 {
-                    ctx.send_toward(self.0, p, 10);
+                    ctx.send_toward(self.0, p);
                 }
             }
         }
@@ -2215,8 +2211,8 @@ mod tests {
         sim.set_behavior(b, Box::new(Fwd(c)));
         sim.set_behavior(c, Box::new(Fwd(c)));
         sim.install_faults(FaultPlan::new(2).link_down(SimTime::from_millis(10), ab));
-        sim.inject(SimTime::ZERO, a, 1, 10); // via b: arrives at 2ms
-        sim.inject(SimTime::from_millis(20), a, 2, 10); // direct: 25ms
+        sim.inject(SimTime::ZERO, a, Pkt(1, 10)); // via b: arrives at 2ms
+        sim.inject(SimTime::from_millis(20), a, Pkt(2, 10)); // direct: 25ms
         sim.run();
         assert!(sim.world().arrivals.contains(&(2_000_000, 1)));
         assert!(sim.world().arrivals.contains(&(25_000_000, 2)));
@@ -2232,8 +2228,8 @@ mod tests {
             if let Some(p) = plan {
                 sim.install_faults(p);
             }
-            sim.inject(SimTime::ZERO, a, 1, 100);
-            sim.inject(SimTime::ZERO, a, 2, 100);
+            sim.inject(SimTime::ZERO, a, Pkt(1, 100));
+            sim.inject(SimTime::ZERO, a, Pkt(2, 100));
             sim.run();
             let r = sim.telemetry_report("t", 0);
             (
@@ -2255,18 +2251,18 @@ mod tests {
     struct Deliverer {
         entity: u32,
     }
-    impl NodeBehavior<u32, World> for Deliverer {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, pkt: u32) {
+    impl NodeBehavior<Pkt, World> for Deliverer {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, pkt: Pkt) {
             let now = ctx.now().as_nanos();
-            ctx.world().arrivals.push((now, pkt));
+            ctx.world().arrivals.push((now, pkt.0));
             ctx.lineage_deliver(self.entity);
         }
-        fn service_time(&self, _pkt: &u32) -> SimDuration {
+        fn service_time(&self, _pkt: &Pkt) -> SimDuration {
             SimDuration::from_millis(2)
         }
     }
 
-    fn lineage_sim() -> (Simulator<u32, World>, NodeId, NodeId) {
+    fn lineage_sim() -> (Simulator<Pkt, World>, NodeId, NodeId) {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let b = t.add_node("b");
@@ -2274,7 +2270,6 @@ mod tests {
         let mut sim = Simulator::new(t, World::default());
         sim.set_behavior(a, Box::new(Relay { to: Some(b), service: SimDuration::ZERO }));
         sim.set_behavior(b, Box::new(Deliverer { entity: 77 }));
-        sim.set_lineage_ids(|p| if *p < 1000 { Some(u64::from(*p)) } else { None });
         sim.enable_lineage(crate::lineage::LineageConfig::default());
         (sim, a, b)
     }
@@ -2283,7 +2278,7 @@ mod tests {
     fn lineage_traces_origin_hop_and_delivery() {
         use crate::lineage::SpanEvent;
         let (mut sim, a, _b) = lineage_sim();
-        sim.inject(SimTime::ZERO, a, 5, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(5, 100));
         sim.run();
         let events: Vec<_> = sim.lineage().spans().iter().map(|s| s.event).collect();
         assert_eq!(
@@ -2301,8 +2296,8 @@ mod tests {
         let deliver = &sim.lineage().spans()[2];
         assert_eq!(deliver.entity, 77);
         assert_eq!(deliver.cause, 1);
-        // Untraced packets (classifier returns None) record nothing.
-        sim.inject(sim.now(), a, 2000, 100);
+        // Untraced packets (`lineage_id` is None) record nothing.
+        sim.inject(sim.now(), a, Pkt(2000, 100));
         sim.run();
         assert_eq!(sim.lineage().spans().len(), 3);
     }
@@ -2310,7 +2305,7 @@ mod tests {
     #[test]
     fn lineage_audit_balances_clean_run() {
         let (mut sim, a, _b) = lineage_sim();
-        sim.inject(SimTime::ZERO, a, 5, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(5, 100));
         sim.lineage_mut().expect(5, SimTime::ZERO, 1, &[77]);
         sim.run();
         let report = sim.lineage().audit(SimTime::from_millis(100), None);
@@ -2332,12 +2327,12 @@ mod tests {
         // node (sent at 25ms, arrives 26ms... node dies at 30ms, so give it
         // a queue-flush instead: b's 2ms service makes a 29.5ms arrival
         // still queued at 30ms).
-        sim.inject(SimTime::from_millis(15), a, 1, 100);
+        sim.inject(SimTime::from_millis(15), a, Pkt(1, 100));
         sim.lineage_mut().expect(1, SimTime::from_millis(15), 0, &[77]);
-        sim.inject(SimTime::from_millis(29), a, 2, 100);
+        sim.inject(SimTime::from_millis(29), a, Pkt(2, 100));
         sim.lineage_mut().expect(2, SimTime::from_millis(29), 0, &[77]);
         // pkt 3 arrives at the dead node: blackholed.
-        sim.inject(SimTime::from_millis(40), a, 3, 100);
+        sim.inject(SimTime::from_millis(40), a, Pkt(3, 100));
         sim.lineage_mut().expect(3, SimTime::from_millis(40), 0, &[77]);
         sim.run();
         let report = sim.lineage().audit(SimTime::from_millis(100), None);
@@ -2353,7 +2348,7 @@ mod tests {
         let run = || {
             let (mut sim, a, _b) = lineage_sim();
             for i in 0..10u32 {
-                sim.inject(SimTime::from_millis(u64::from(i)), a, i, 100);
+                sim.inject(SimTime::from_millis(u64::from(i)), a, Pkt(i, 100));
             }
             sim.run();
             (
@@ -2370,7 +2365,7 @@ mod tests {
         let (mut sim, a, _b) = lineage_sim();
         sim.enable_lineage(crate::lineage::LineageConfig { sample: 2, capacity: 1024 });
         for i in 0..10u32 {
-            sim.inject(SimTime::from_millis(u64::from(i)), a, i, 100);
+            sim.inject(SimTime::from_millis(u64::from(i)), a, Pkt(i, 100));
         }
         sim.run();
         assert!(sim.lineage().spans().iter().all(|s| s.lineage % 2 == 0));
@@ -2380,8 +2375,7 @@ mod tests {
     #[test]
     fn lineage_disabled_records_nothing() {
         let (mut sim, a, _b) = two_node_sim(SimDuration::ZERO, None);
-        sim.set_lineage_ids(|p| Some(u64::from(*p)));
-        sim.inject(SimTime::ZERO, a, 1, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 100));
         sim.run();
         assert!(!sim.lineage().is_enabled());
         assert!(sim.lineage().spans().is_empty());
@@ -2398,8 +2392,8 @@ mod tests {
             per_node: vec![],
             max_frames: 100,
         });
-        sim.inject(SimTime::ZERO, a, 1, 100);
-        sim.inject(SimTime::ZERO, a, 2, 100);
+        sim.inject(SimTime::ZERO, a, Pkt(1, 100));
+        sim.inject(SimTime::ZERO, a, Pkt(2, 100));
         sim.run_until(SimTime::from_millis(25));
         let json = sim.timeseries_json().expect("enabled").to_string();
         // Frames at 5,10,15,20,25 ms — captured even after the event queue
@@ -2417,7 +2411,7 @@ mod tests {
             sim.enable_telemetry(TelemetryConfig::default());
             sim.enable_timeseries(TimeSeriesConfig::default());
             for i in 0..20u32 {
-                sim.inject(SimTime::from_millis(u64::from(i) * 100), a, i, 100);
+                sim.inject(SimTime::from_millis(u64::from(i) * 100), a, Pkt(i, 100));
             }
             sim.run_until(SimTime::from_secs_f64(3.0));
             sim.timeseries_json().expect("enabled").to_string()
@@ -2434,12 +2428,12 @@ mod tests {
         t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
         t.try_add_link(b, c, SimDuration::from_millis(1), None).unwrap();
         struct Fwd(NodeId);
-        impl NodeBehavior<u32, World> for Fwd {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, p: u32) {
+        impl NodeBehavior<Pkt, World> for Fwd {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, p: Pkt) {
                 let now = ctx.now().as_nanos();
-                ctx.world().arrivals.push((now, p));
+                ctx.world().arrivals.push((now, p.0));
                 if ctx.node() != self.0 {
-                    ctx.send_toward(self.0, p, 10);
+                    ctx.send_toward(self.0, p);
                 }
             }
         }
@@ -2447,7 +2441,7 @@ mod tests {
         sim.set_behavior(a, Box::new(Fwd(c)));
         sim.set_behavior(b, Box::new(Fwd(c)));
         sim.set_behavior(c, Box::new(Fwd(c)));
-        sim.inject(SimTime::ZERO, a, 5, 10);
+        sim.inject(SimTime::ZERO, a, Pkt(5, 10));
         sim.run();
         assert_eq!(
             sim.world().arrivals,
@@ -2457,18 +2451,8 @@ mod tests {
 
     // ---- overload control ----
 
-    /// Test classifier: packets < 100 are control (class 0), rest bulk.
-    fn test_prio(p: &u32) -> u8 {
-        u8::from(*p >= 100)
-    }
-
-    /// Test supersede key: bulk packets supersede per last digit.
-    fn test_key(p: &u32) -> Option<u64> {
-        (*p >= 100).then_some(u64::from(*p % 10))
-    }
-
     /// One node with 10 ms service and the given overload config.
-    fn one_node_overloaded(cfg: OverloadConfig) -> (Simulator<u32, World>, NodeId) {
+    fn one_node_overloaded(cfg: OverloadConfig) -> (Simulator<Pkt, World>, NodeId) {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let mut sim = Simulator::new(t, World::default());
@@ -2479,8 +2463,6 @@ mod tests {
                 service: SimDuration::from_millis(10),
             }),
         );
-        sim.set_priorities(test_prio);
-        sim.set_supersede_keys(test_key);
         sim.install_overload(cfg);
         (sim, a)
     }
@@ -2501,7 +2483,7 @@ mod tests {
             ..OverloadConfig::default()
         });
         for i in 0..6u32 {
-            sim.inject(SimTime::ZERO, a, 100 + i, 50);
+            sim.inject(SimTime::ZERO, a, Pkt(100 + i, 50));
         }
         sim.run();
         // One in service + two waiting admitted; three tail-dropped.
@@ -2519,7 +2501,7 @@ mod tests {
             ..OverloadConfig::default()
         });
         for i in 0..6u32 {
-            sim.inject(SimTime::ZERO, a, 100 + i, 50);
+            sim.inject(SimTime::ZERO, a, Pkt(100 + i, 50));
         }
         sim.run();
         // The in-service front is untouchable; each overflow evicts the
@@ -2538,9 +2520,9 @@ mod tests {
             ..OverloadConfig::default()
         });
         // Bulk starts service, more bulk queues, then control arrives.
-        sim.inject(SimTime::ZERO, a, 200, 50);
-        sim.inject(SimTime::ZERO, a, 201, 50);
-        sim.inject(SimTime::ZERO, a, 1, 50);
+        sim.inject(SimTime::ZERO, a, Pkt(200, 50));
+        sim.inject(SimTime::ZERO, a, Pkt(201, 50));
+        sim.inject(SimTime::ZERO, a, Pkt(1, 50));
         sim.run();
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         assert_eq!(served, vec![200, 1, 201], "control jumps the bulk queue");
@@ -2554,10 +2536,10 @@ mod tests {
             priority: true,
             ..OverloadConfig::default()
         });
-        sim.inject(SimTime::ZERO, a, 200, 50); // in service
-        sim.inject(SimTime::ZERO, a, 201, 50); // waiting
-        sim.inject(SimTime::ZERO, a, 202, 50); // waiting (queue now full)
-        sim.inject(SimTime::ZERO, a, 1, 50); // control: evicts newest bulk
+        sim.inject(SimTime::ZERO, a, Pkt(200, 50)); // in service
+        sim.inject(SimTime::ZERO, a, Pkt(201, 50)); // waiting
+        sim.inject(SimTime::ZERO, a, Pkt(202, 50)); // waiting (queue now full)
+        sim.inject(SimTime::ZERO, a, Pkt(1, 50)); // control: evicts newest bulk
         sim.run();
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         assert_eq!(served, vec![200, 1, 201], "202 evicted, control admitted");
@@ -2572,10 +2554,10 @@ mod tests {
             priority: true,
             ..OverloadConfig::default()
         });
-        sim.inject(SimTime::ZERO, a, 100, 50); // in service
-        sim.inject(SimTime::ZERO, a, 101, 50); // waiting, key 1
-        sim.inject(SimTime::ZERO, a, 102, 50); // waiting, key 2 (full)
-        sim.inject(SimTime::ZERO, a, 111, 50); // key 1: supersedes 101
+        sim.inject(SimTime::ZERO, a, Pkt(100, 50)); // in service
+        sim.inject(SimTime::ZERO, a, Pkt(101, 50)); // waiting, key 1
+        sim.inject(SimTime::ZERO, a, Pkt(102, 50)); // waiting, key 2 (full)
+        sim.inject(SimTime::ZERO, a, Pkt(111, 50)); // key 1: supersedes 101
         sim.run();
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
         assert_eq!(served, vec![100, 102, 111], "stale 101 evicted for 111");
@@ -2592,7 +2574,7 @@ mod tests {
             ..OverloadConfig::default()
         });
         for i in 0..50u32 {
-            sim.inject(SimTime::ZERO, a, 100 + i, 50);
+            sim.inject(SimTime::ZERO, a, Pkt(100 + i, 50));
         }
         sim.run();
         let (qf, aqm, stale) = sim.overload_drops();
@@ -2616,8 +2598,8 @@ mod tests {
             ..OverloadConfig::default()
         });
         for i in 0..25u32 {
-            sim.inject(SimTime::ZERO, a, 100 + i, 50); // bulk
-            sim.inject(SimTime::ZERO, a, i, 50); // control
+            sim.inject(SimTime::ZERO, a, Pkt(100 + i, 50)); // bulk
+            sim.inject(SimTime::ZERO, a, Pkt(i, 50)); // control
         }
         sim.run();
         let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
@@ -2632,17 +2614,17 @@ mod tests {
             to: Option<NodeId>,
             service: SimDuration,
         }
-        impl NodeBehavior<u32, Vec<bool>> for Fwd {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, Vec<bool>>, _f: Option<NodeId>, p: u32) {
+        impl NodeBehavior<Pkt, Vec<bool>> for Fwd {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, Vec<bool>>, _f: Option<NodeId>, p: Pkt) {
                 match self.to {
-                    Some(to) => ctx.send(to, p, 50),
+                    Some(to) => ctx.send(to, p),
                     None => {
                         let m = ctx.congestion_marked();
                         ctx.world().push(m);
                     }
                 }
             }
-            fn service_time(&self, _p: &u32) -> SimDuration {
+            fn service_time(&self, _p: &Pkt) -> SimDuration {
                 self.service
             }
         }
@@ -2660,7 +2642,7 @@ mod tests {
             ..OverloadConfig::default()
         });
         for i in 0..4u32 {
-            sim.inject(SimTime::ZERO, a, i, 50);
+            sim.inject(SimTime::ZERO, a, Pkt(i, 50));
         }
         sim.run();
         // Sojourns at a: 10, 20, 30, 40 ms — the first stays unmarked.
@@ -2682,9 +2664,9 @@ mod tests {
             });
             sim.enable_telemetry(TelemetryConfig::default());
             for i in 0..40u32 {
-                sim.inject(SimTime::from_millis(u64::from(i)), a, 100 + i, 50);
+                sim.inject(SimTime::from_millis(u64::from(i)), a, Pkt(100 + i, 50));
                 if i % 5 == 0 {
-                    sim.inject(SimTime::from_millis(u64::from(i)), a, i, 20);
+                    sim.inject(SimTime::from_millis(u64::from(i)), a, Pkt(i, 20));
                 }
             }
             sim.run();
@@ -2695,5 +2677,108 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(a.1.0 + a.1.1 + a.1.2 > 0, "the scenario must shed");
+    }
+
+    // ---- SimPacket defaults ----
+
+    /// A packet that only reports its wire size, so every classification
+    /// is the trait default.
+    #[derive(Debug, Clone, Copy)]
+    struct Plain(u32);
+
+    impl SimPacket for Plain {
+        fn wire_size(&self) -> u32 {
+            self.0
+        }
+    }
+
+    /// Records each packet's size, then forwards it to `to` if set.
+    struct PlainNode {
+        to: Option<NodeId>,
+    }
+
+    impl NodeBehavior<Plain, Vec<u32>> for PlainNode {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Plain, Vec<u32>>, _f: Option<NodeId>, p: Plain) {
+            ctx.world().push(p.0);
+            ctx.lineage_deliver(1);
+            if let Some(to) = self.to {
+                ctx.send(to, p);
+            }
+        }
+        fn service_time(&self, _p: &Plain) -> SimDuration {
+            SimDuration::from_millis(10)
+        }
+    }
+
+    /// `a -> b` when `relay`, else `a` alone; `a` is returned.
+    fn plain_sim(relay: bool, cfg: OverloadConfig) -> (Simulator<Plain, Vec<u32>>, NodeId) {
+        let mut t = Topology::new();
+        let a = t.add_node("a");
+        let to = relay.then(|| {
+            let b = t.add_node("b");
+            t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
+            b
+        });
+        let mut sim = Simulator::new(t, Vec::new());
+        sim.set_behavior(a, Box::new(PlainNode { to }));
+        if let Some(b) = to {
+            sim.set_behavior(b, Box::new(PlainNode { to: None }));
+        }
+        sim.install_overload(cfg);
+        (sim, a)
+    }
+
+    #[test]
+    fn sim_packet_defaults_classify_nothing() {
+        // Telemetry tags every record "pkt"; lineage opens no span.
+        let (mut sim, a) = plain_sim(true, OverloadConfig::default());
+        sim.enable_telemetry(TelemetryConfig::default());
+        sim.enable_lineage(crate::lineage::LineageConfig::default());
+        sim.inject(SimTime::ZERO, a, Plain(64));
+        sim.run();
+        let records = sim.telemetry().journal_records();
+        // enq + deq + deliver at a and b, plus the send at a.
+        assert_eq!(records.len(), 7);
+        assert!(records.iter().all(|r| r.class == "pkt"), "{records:?}");
+        assert!(sim.lineage().is_enabled());
+        assert!(sim.lineage().spans().is_empty());
+
+        // Everything is class 0: with priorities on, nothing outranks an
+        // arrival (FIFO, overflow rejects the newcomer) and nothing
+        // supersedes a queued packet.
+        let (mut sim, a) = plain_sim(
+            false,
+            OverloadConfig {
+                queue_capacity: Some(2),
+                policy: AdmissionPolicy::DropTail,
+                priority: true,
+                ..OverloadConfig::default()
+            },
+        );
+        for size in 1..=6 {
+            sim.inject(SimTime::ZERO, a, Plain(size));
+        }
+        sim.run();
+        assert_eq!(sim.world(), &vec![1, 2, 3]);
+        assert_eq!(sim.overload_drops(), (3, 0, 0));
+
+        // CoDel never sheds a control-class head.
+        let (mut sim, a) = plain_sim(
+            false,
+            OverloadConfig {
+                policy: AdmissionPolicy::CoDel {
+                    target: SimDuration::from_millis(5),
+                    interval: SimDuration::from_millis(20),
+                },
+                priority: true,
+                ..OverloadConfig::default()
+            },
+        );
+        for size in 1..=50 {
+            sim.inject(SimTime::ZERO, a, Plain(size));
+        }
+        sim.run();
+        assert_eq!(sim.world().len(), 50);
+        assert_eq!(sim.overload_drops(), (0, 0, 0));
     }
 }

@@ -11,7 +11,9 @@
 //! * [`RoutingTable`] — all-pairs shortest-path next hops (Dijkstra over
 //!   link weights), standing in for the routing underlay.
 //! * [`Simulator`] — the event loop. Every node is a [`NodeBehavior`]: a
-//!   state machine that receives packets and timers and emits sends. Nodes
+//!   state machine that receives packets and timers and emits sends. Every
+//!   packet is a [`SimPacket`]: it reports its wire size and classifies
+//!   itself for telemetry, lineage and overload control. Nodes
 //!   are single-server FIFO queues (per-packet service time), links add
 //!   propagation delay plus serialization time when bandwidth is finite —
 //!   exactly the two latency sources the paper measures (processing and
@@ -56,21 +58,32 @@
 //! # Example
 //!
 //! A two-node hop: a packet injected at `a` is forwarded to `b`, which
-//! records its arrival time in the shared world state.
+//! records its arrival time in the shared world state. A packet type only
+//! has to report its wire size; [`SimPacket`]'s other methods default to
+//! an unclassified, untraced control-class packet.
 //!
 //! ```
-//! use gcopss_sim::{Ctx, NodeBehavior, NodeId, SimDuration, SimTime, Simulator, Topology};
+//! use gcopss_sim::{
+//!     Ctx, NodeBehavior, NodeId, SimDuration, SimPacket, SimTime, Simulator, Topology,
+//! };
+//!
+//! struct Ping;
+//! impl SimPacket for Ping {
+//!     fn wire_size(&self) -> u32 {
+//!         100
+//!     }
+//! }
 //!
 //! struct Forward(NodeId);
-//! impl NodeBehavior<u32, Vec<u64>> for Forward {
-//!     fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, Vec<u64>>, _from: Option<NodeId>, pkt: u32) {
-//!         ctx.send(self.0, pkt, 100);
+//! impl NodeBehavior<Ping, Vec<u64>> for Forward {
+//!     fn on_packet(&mut self, ctx: &mut Ctx<'_, Ping, Vec<u64>>, _from: Option<NodeId>, pkt: Ping) {
+//!         ctx.send(self.0, pkt);
 //!     }
 //! }
 //!
 //! struct Sink;
-//! impl NodeBehavior<u32, Vec<u64>> for Sink {
-//!     fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, Vec<u64>>, _from: Option<NodeId>, _pkt: u32) {
+//! impl NodeBehavior<Ping, Vec<u64>> for Sink {
+//!     fn on_packet(&mut self, ctx: &mut Ctx<'_, Ping, Vec<u64>>, _from: Option<NodeId>, _pkt: Ping) {
 //!         let now = ctx.now();
 //!         ctx.world().push(now.as_nanos());
 //!     }
@@ -84,9 +97,10 @@
 //! let mut sim = Simulator::new(topo, Vec::new());
 //! sim.set_behavior(a, Box::new(Forward(b)));
 //! sim.set_behavior(b, Box::new(Sink));
-//! sim.inject(SimTime::ZERO, a, 0u32, 100);
+//! sim.inject(SimTime::ZERO, a, Ping);
 //! sim.run();
 //! assert_eq!(sim.world()[0], 5_000_000); // one 5 ms hop
+//! assert_eq!(sim.total_link_bytes(), 100);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -106,7 +120,7 @@ pub mod telemetry;
 mod time;
 mod topology;
 
-pub use engine::{Ctx, NodeBehavior, Simulator};
+pub use engine::{Ctx, NodeBehavior, SimPacket, Simulator};
 pub use fault::{FaultEvent, FaultNotice, FaultPlan};
 pub use overload::{AdmissionPolicy, OverloadConfig};
 pub use lineage::{AuditReport, LineageConfig, LineageLog, SpanEvent, SpanRecord, NO_SPAN};

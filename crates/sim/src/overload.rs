@@ -19,13 +19,12 @@
 //!   increases with the square root of the drop count. Bounded by the same
 //!   hard `queue_capacity` (tail behavior) like a real router.
 //!
-//! With `priority: true` the engine consults the registered priority
-//! classifier (`Simulator::set_priorities`; class 0 = control plane,
-//! higher = bulk): control traffic is inserted ahead of bulk (FIFO within
-//! a class), is never AQM-shed, and on overflow the lowest-priority
-//! packet loses. A registered supersede-key classifier
-//! (`Simulator::set_supersede_keys`) additionally lets a full queue evict
-//! a *stale* queued update that the arrival supersedes
+//! With `priority: true` the engine asks each packet for its class
+//! (`SimPacket::priority`; class 0 = control plane, higher = bulk):
+//! control traffic is inserted ahead of bulk (FIFO within a class), is
+//! never AQM-shed, and on overflow the lowest-priority packet loses. The
+//! packet's `SimPacket::supersede_key` additionally lets a full queue
+//! evict a *stale* queued update that the arrival supersedes
 //! (`"stale-superseded"`) — position updates are only ever useful in
 //! their latest version.
 //!

@@ -270,7 +270,7 @@ pub struct TraceRecord {
     pub node: u32,
     /// What happened.
     pub event: TraceEvent,
-    /// The packet class (from the registered classifier, or a behavior tag).
+    /// The packet class (`SimPacket::kind`, or a behavior tag).
     pub class: &'static str,
     /// Wire size in bytes (0 when not applicable).
     pub size: u32,

@@ -2,33 +2,43 @@
 //! idleness, utilization accounting and bandwidth-constrained links.
 
 use gcopss_sim::{
-    generators, metrics::OnlineStats, Ctx, NodeBehavior, NodeId, SimDuration, SimTime, Simulator,
-    Topology,
+    generators, metrics::OnlineStats, Ctx, NodeBehavior, NodeId, SimDuration, SimPacket, SimTime,
+    Simulator, Topology,
 };
 
 type World = Vec<u64>;
+
+/// Test packet `(value, wire size)`.
+#[derive(Debug, Clone, Copy)]
+struct Pkt(u32, u32);
+
+impl SimPacket for Pkt {
+    fn wire_size(&self) -> u32 {
+        self.1
+    }
+}
 
 struct Echoes {
     peer: Option<NodeId>,
     service: SimDuration,
 }
 
-impl NodeBehavior<u32, World> for Echoes {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _from: Option<NodeId>, pkt: u32) {
+impl NodeBehavior<Pkt, World> for Echoes {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _from: Option<NodeId>, pkt: Pkt) {
         let now = ctx.now().as_nanos();
         ctx.world().push(now);
         if let Some(p) = self.peer {
-            if pkt > 0 {
-                ctx.send(p, pkt - 1, 64);
+            if pkt.0 > 0 {
+                ctx.send(p, Pkt(pkt.0 - 1, 64));
             }
         }
     }
-    fn service_time(&self, _pkt: &u32) -> SimDuration {
+    fn service_time(&self, _pkt: &Pkt) -> SimDuration {
         self.service
     }
 }
 
-fn ping_pong(service: SimDuration) -> (Simulator<u32, World>, NodeId, NodeId) {
+fn ping_pong(service: SimDuration) -> (Simulator<Pkt, World>, NodeId, NodeId) {
     let mut t = Topology::new();
     let a = t.add_node("a");
     let b = t.add_node("b");
@@ -42,7 +52,7 @@ fn ping_pong(service: SimDuration) -> (Simulator<u32, World>, NodeId, NodeId) {
 #[test]
 fn step_processes_bounded_events() {
     let (mut sim, a, _) = ping_pong(SimDuration::ZERO);
-    sim.inject(SimTime::ZERO, a, 10, 64);
+    sim.inject(SimTime::ZERO, a, Pkt(10, 64));
     // Each step is one event; the ping-pong has 11 arrivals + 11 services.
     let done = sim.step(3);
     assert_eq!(done, 3);
@@ -56,7 +66,7 @@ fn step_processes_bounded_events() {
 #[test]
 fn busy_time_tracks_utilization() {
     let (mut sim, a, b) = ping_pong(SimDuration::from_millis(2));
-    sim.inject(SimTime::ZERO, a, 9, 64);
+    sim.inject(SimTime::ZERO, a, Pkt(9, 64));
     sim.run();
     // Ten packets served total (5 at each node), 2 ms each.
     let total = sim.node_busy_time(a) + sim.node_busy_time(b);
@@ -72,11 +82,11 @@ fn bandwidth_throttles_throughput() {
     let b = t.add_node("b");
     t.try_add_link(a, b, SimDuration::ZERO, Some(64_000)).unwrap();
     struct Burst(NodeId);
-    impl NodeBehavior<u32, World> for Burst {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, from: Option<NodeId>, pkt: u32) {
+    impl NodeBehavior<Pkt, World> for Burst {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, from: Option<NodeId>, pkt: Pkt) {
             if from.is_none() {
-                for _ in 0..pkt {
-                    ctx.send(self.0, 0, 64);
+                for _ in 0..pkt.0 {
+                    ctx.send(self.0, Pkt(0, 64));
                 }
             } else {
                 let now = ctx.now().as_nanos();
@@ -87,7 +97,7 @@ fn bandwidth_throttles_throughput() {
     let mut sim = Simulator::new(t, World::new());
     sim.set_behavior(a, Box::new(Burst(b)));
     sim.set_behavior(b, Box::new(Burst(a)));
-    sim.inject(SimTime::ZERO, a, 10, 1);
+    sim.inject(SimTime::ZERO, a, Pkt(10, 1));
     sim.run();
     let w = sim.world();
     assert_eq!(w.len(), 10);
@@ -131,16 +141,16 @@ fn fault_drops_have_journal_parity() {
     let b = t.add_node("b");
     t.try_add_link(a, b, SimDuration::from_millis(1), None).unwrap();
     struct Fwd(NodeId);
-    impl NodeBehavior<u32, World> for Fwd {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, from: Option<NodeId>, pkt: u32) {
+    impl NodeBehavior<Pkt, World> for Fwd {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, from: Option<NodeId>, pkt: Pkt) {
             if from.is_none() && ctx.node() != self.0 {
-                ctx.send(self.0, pkt, 64);
+                ctx.send(self.0, pkt);
             } else {
                 let now = ctx.now().as_nanos();
                 ctx.world().push(now);
             }
         }
-        fn service_time(&self, _pkt: &u32) -> SimDuration {
+        fn service_time(&self, _pkt: &Pkt) -> SimDuration {
             SimDuration::from_millis(2)
         }
     }
@@ -160,12 +170,12 @@ fn fault_drops_have_journal_parity() {
     // queue flush (an arrival in service at b when it dies at 30 ms), the
     // blackhole window (arrivals while b is down), and Bernoulli loss over
     // a tail of ordinary traffic.
-    sim.inject(SimTime::from_millis(12), a, 1, 64);
-    sim.inject(SimTime::from_millis(26), a, 2, 64);
-    sim.inject(SimTime::from_micros(26_200), a, 3, 64);
-    sim.inject(SimTime::from_millis(31), a, 4, 64);
+    sim.inject(SimTime::from_millis(12), a, Pkt(1, 64));
+    sim.inject(SimTime::from_millis(26), a, Pkt(2, 64));
+    sim.inject(SimTime::from_micros(26_200), a, Pkt(3, 64));
+    sim.inject(SimTime::from_millis(31), a, Pkt(4, 64));
     for i in 0..40u64 {
-        sim.inject(SimTime::from_millis(40 + i * 5), a, 100 + i as u32, 64);
+        sim.inject(SimTime::from_millis(40 + i * 5), a, Pkt(100 + i as u32, 64));
     }
     sim.run();
 
@@ -203,13 +213,13 @@ fn backbone_hosts_reach_each_other_through_sim() {
     struct Relay {
         dst: NodeId,
     }
-    impl NodeBehavior<u32, World> for Relay {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, _f: Option<NodeId>, pkt: u32) {
+    impl NodeBehavior<Pkt, World> for Relay {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, pkt: Pkt) {
             if ctx.node() == self.dst {
                 let now = ctx.now().as_nanos();
                 ctx.world().push(now);
             } else {
-                ctx.send_toward(self.dst, pkt, 100);
+                ctx.send_toward(self.dst, pkt);
             }
         }
     }
@@ -219,7 +229,7 @@ fn backbone_hosts_reach_each_other_through_sim() {
     for n in all {
         sim.set_behavior(n, Box::new(Relay { dst }));
     }
-    sim.inject(SimTime::ZERO, hosts[0], 7, 100);
+    sim.inject(SimTime::ZERO, hosts[0], Pkt(7, 100));
     sim.run();
     assert_eq!(sim.world().len(), 1, "packet delivered once");
     let arrival = SimTime::from_nanos(sim.world()[0]);

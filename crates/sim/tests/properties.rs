@@ -4,7 +4,7 @@
 use gcopss_compat::prop;
 use gcopss_sim::telemetry::LogHistogram;
 use gcopss_sim::{
-    generators, Ctx, NodeBehavior, NodeId, RoutingTable, SimDuration, SimTime, Simulator,
+    generators, Ctx, NodeBehavior, NodeId, RoutingTable, SimDuration, SimPacket, SimTime, Simulator,
 };
 
 const CASES: u32 = 24;
@@ -14,18 +14,28 @@ const CASES: u32 = 24;
 /// packet id (high byte).
 struct Flood;
 
-type World = Vec<(u64, u32, u32)>; // (time ns, node, pkt)
+type World = Vec<(u64, u32, u32)>; // (time ns, node, pkt id)
 
-impl NodeBehavior<u32, World> for Flood {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, World>, from: Option<NodeId>, pkt: u32) {
+/// Test packet `(id, wire size)`.
+#[derive(Debug, Clone, Copy)]
+struct Pkt(u32, u32);
+
+impl SimPacket for Pkt {
+    fn wire_size(&self) -> u32 {
+        self.1
+    }
+}
+
+impl NodeBehavior<Pkt, World> for Flood {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, from: Option<NodeId>, pkt: Pkt) {
         let now = ctx.now().as_nanos();
         let node = ctx.node();
-        ctx.world().push((now, node.0, pkt));
-        let ttl = pkt >> 24;
+        ctx.world().push((now, node.0, pkt.0));
+        let ttl = pkt.0 >> 24;
         if ttl == 0 {
             return;
         }
-        let next = ((ttl - 1) << 24) | (pkt & 0x00ff_ffff);
+        let next = ((ttl - 1) << 24) | (pkt.0 & 0x00ff_ffff);
         let neighbors: Vec<NodeId> = ctx
             .topology()
             .neighbors(node)
@@ -33,11 +43,11 @@ impl NodeBehavior<u32, World> for Flood {
             .filter(|n| Some(*n) != from)
             .collect();
         for n in neighbors {
-            ctx.send(n, next, 64);
+            ctx.send(n, Pkt(next, 64));
         }
     }
 
-    fn service_time(&self, _pkt: &u32) -> SimDuration {
+    fn service_time(&self, _pkt: &Pkt) -> SimDuration {
         SimDuration::from_micros(10)
     }
 }
@@ -67,7 +77,7 @@ fn time_is_monotonic() {
             sim.set_behavior(n, Box::new(Flood));
         }
         // Inject a TTL-3 flood from the first host.
-        sim.inject(SimTime::ZERO, hs[0], 3 << 24, 64);
+        sim.inject(SimTime::ZERO, hs[0], Pkt(3 << 24, 64));
         sim.run();
         let w = sim.world();
         assert!(!w.is_empty());
@@ -94,8 +104,8 @@ fn simulation_is_deterministic() {
             for n in all {
                 sim.set_behavior(n, Box::new(Flood));
             }
-            sim.inject(SimTime::ZERO, b.core[0], 2 << 24, 64);
-            sim.inject(SimTime::from_millis(1), b.core[1], (2 << 24) | 1, 64);
+            sim.inject(SimTime::ZERO, b.core[0], Pkt(2 << 24, 64));
+            sim.inject(SimTime::from_millis(1), b.core[1], Pkt((2 << 24) | 1, 64));
             sim.run();
             (sim.total_link_bytes(), sim.events_processed(), sim.into_world())
         };
