@@ -527,13 +527,6 @@ impl<P: SimPacket, W> Simulator<P, W> {
     #[must_use]
     pub fn new(topology: Topology, world: W) -> Self {
         let routing = RoutingTable::shortest_paths(&topology);
-        Self::with_routing(topology, routing, world)
-    }
-
-    /// Creates a simulator with a pre-computed routing table (useful when
-    /// the caller also needs the table to configure behaviors).
-    #[must_use]
-    pub fn with_routing(topology: Topology, routing: RoutingTable, world: W) -> Self {
         let n = topology.node_count();
         let l = topology.link_count();
         Self {
@@ -1180,9 +1173,10 @@ impl<P: SimPacket, W> Simulator<P, W> {
     }
 
     /// Applies one scheduled fault event: update link/node up-state, flush
-    /// any state that died with it, recompute routing over the surviving
-    /// subgraph, then notify affected live behaviors (which see the new
-    /// routing table and can immediately start recovery).
+    /// any state that died with it, bring routing up to date over the
+    /// surviving subgraph (see [`Self::update_routing`]), then notify
+    /// affected live behaviors (which see the current routing table and can
+    /// immediately start recovery).
     fn apply_fault(&mut self, ev: FaultEvent) {
         let Some(f) = self.faults.as_mut() else {
             return;
@@ -1193,7 +1187,7 @@ impl<P: SimPacket, W> Simulator<P, W> {
                     return;
                 }
                 f.link_up[l.index()] = false;
-                self.recompute_routing();
+                self.update_routing(Some(l));
                 let (a, b) = self.topology.link_endpoints(l);
                 self.notify_fault(a, FaultNotice::LinkDown { peer: b });
                 self.notify_fault(b, FaultNotice::LinkDown { peer: a });
@@ -1204,7 +1198,7 @@ impl<P: SimPacket, W> Simulator<P, W> {
                 }
                 f.link_up[l.index()] = true;
                 f.last_repair = Some(self.now);
-                self.recompute_routing();
+                self.update_routing(Some(l));
                 let (a, b) = self.topology.link_endpoints(l);
                 self.notify_fault(a, FaultNotice::LinkUp { peer: b });
                 self.notify_fault(b, FaultNotice::LinkUp { peer: a });
@@ -1223,7 +1217,7 @@ impl<P: SimPacket, W> Simulator<P, W> {
                     self.lineage.mark_dropped(q.span, "node-lost", self.now);
                     self.fault_drop(n, q.from, q.size, "node-lost");
                 }
-                self.recompute_routing();
+                self.update_routing(None);
                 let peers: Vec<NodeId> = self
                     .topology
                     .neighbors(n)
@@ -1240,7 +1234,7 @@ impl<P: SimPacket, W> Simulator<P, W> {
                 }
                 f.node_up[n.index()] = true;
                 f.last_repair = Some(self.now);
-                self.recompute_routing();
+                self.update_routing(None);
                 self.notify_fault(n, FaultNotice::Restarted);
                 let peers: Vec<NodeId> = self
                     .topology
@@ -1255,15 +1249,28 @@ impl<P: SimPacket, W> Simulator<P, W> {
         }
     }
 
-    /// Recomputes the routing table over the surviving subgraph.
-    fn recompute_routing(&mut self) {
+    /// Brings the routing table up to date over the surviving subgraph after
+    /// the up-state of link `changed` (or, for `None`, of a node) flipped.
+    /// A link event patches the table in place when it cuts or joins a
+    /// bridge and recomputes all pairs otherwise
+    /// ([`RoutingTable::update_link`]); a node event always recomputes all
+    /// pairs. Debug builds check the result against a full recompute.
+    fn update_routing(&mut self, changed: Option<LinkId>) {
         let Some(f) = &self.faults else {
             return;
         };
-        self.routing = RoutingTable::shortest_paths_filtered(
-            &self.topology,
-            |l| f.link_up[l.index()],
-            |n| f.node_up[n.index()],
+        let link_up = |l: LinkId| f.link_up[l.index()];
+        let node_up = |n: NodeId| f.node_up[n.index()];
+        match changed {
+            Some(l) => self.routing.update_link(&self.topology, l, link_up, node_up),
+            None => {
+                self.routing =
+                    RoutingTable::shortest_paths_filtered(&self.topology, link_up, node_up);
+            }
+        }
+        debug_assert!(
+            self.routing == RoutingTable::shortest_paths_filtered(&self.topology, link_up, node_up),
+            "routing table diverged from a full recompute after {changed:?}"
         );
     }
 

@@ -8,9 +8,12 @@
 //!
 //! * executes the scheduled events as ordinary simulation events (so they
 //!   interleave deterministically with traffic),
-//! * recomputes the routing table over the surviving subgraph after every
-//!   topology-change event
-//!   ([`crate::RoutingTable::shortest_paths_filtered`]),
+//! * brings the routing table up to date over the surviving subgraph after
+//!   every topology-change event: a link event that cuts or rejoins a
+//!   bridge (say, a single-homed host's access link) patches the table in
+//!   place (`RoutingTable::update_link`); any other link event and
+//!   every node event reruns
+//!   [`crate::RoutingTable::shortest_paths_filtered`],
 //! * drops packets crossing a dead link or addressed to a dead node,
 //!   counting `link-lost` / `node-lost` drop reasons in telemetry, and
 //! * notifies affected [`crate::NodeBehavior`]s through
@@ -44,8 +47,8 @@ pub enum FaultEvent {
 /// What a [`crate::NodeBehavior`] is told when a fault touches it.
 ///
 /// Notices are delivered only to *live* nodes, after routing has been
-/// recomputed over the surviving subgraph (so handlers can immediately
-/// reroute).
+/// brought up to date over the surviving subgraph, whether by an in-place
+/// bridge patch or a full recompute (so handlers can immediately reroute).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultNotice {
     /// The link to `peer` went down, or `peer` itself crashed — either way

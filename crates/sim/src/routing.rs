@@ -3,7 +3,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{NodeId, SimDuration, Topology};
+use crate::{LinkId, NodeId, SimDuration, Topology};
+
+/// Distance sentinel for an unreachable destination.
+const UNREACHABLE: SimDuration = SimDuration::from_nanos(u64::MAX);
 
 /// All-pairs next-hop routing computed with Dijkstra over link delays.
 ///
@@ -26,7 +29,7 @@ use crate::{NodeId, SimDuration, Topology};
 /// assert_eq!(rt.next_hop(a, c), Some(b));
 /// assert_eq!(rt.path(a, c), vec![a, b, c]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
     n: usize,
     /// next_hop[src][dst]
@@ -48,18 +51,19 @@ impl RoutingTable {
 
     /// Computes shortest paths over the *surviving* subgraph: links for
     /// which `link_up` returns `false` and nodes for which `node_up` returns
-    /// `false` are excluded. This is what the fault-injection layer calls
-    /// after every topology-change event; [`RoutingTable::shortest_paths`]
+    /// `false` are excluded. The fault-injection layer calls this after a
+    /// node event and after a link event that is not a bridge cut or join
+    /// (see `RoutingTable::update_link`); [`RoutingTable::shortest_paths`]
     /// is the special case where everything is up.
     #[must_use]
     pub fn shortest_paths_filtered(
         topology: &Topology,
-        link_up: impl Fn(crate::LinkId) -> bool,
+        link_up: impl Fn(LinkId) -> bool,
         node_up: impl Fn(NodeId) -> bool,
     ) -> Self {
         let n = topology.node_count();
         let mut next = vec![vec![None; n]; n];
-        let mut dist = vec![vec![SimDuration::from_nanos(u64::MAX); n]; n];
+        let mut dist = vec![vec![UNREACHABLE; n]; n];
 
         for src in topology.node_ids() {
             if !node_up(src) {
@@ -99,6 +103,114 @@ impl RoutingTable {
         Self { n, next, dist }
     }
 
+    /// Brings the table up to date after `link` went down or came up, as
+    /// `link_up` now reports; `link_up` and `node_up` describe the whole
+    /// surviving subgraph, and the table must have been exact for it before
+    /// the change. The result always equals
+    /// [`RoutingTable::shortest_paths_filtered`] over the new state:
+    ///
+    /// * a link at a dead node changes nothing, since the filtered Dijkstra
+    ///   already ignores every link there;
+    /// * cutting a bridge marks every pair across the two new components
+    ///   unreachable;
+    /// * joining two components by a link `a`–`b` of delay `w` routes
+    ///   `s` on `a`'s side to `t` on `b`'s side over `dist(s, a) + w +
+    ///   dist(b, t)`, with `s`'s old first hop toward `a` (or `b` from `a`
+    ///   itself), and symmetrically;
+    /// * any other change falls back to a full recompute.
+    ///
+    /// The patch is exact, tie-breaks included: no shortest path inside a
+    /// component crosses a bridge, and nodes across it only relax each
+    /// other, so Dijkstra's pop order within each component is the same
+    /// with or without the link.
+    pub(crate) fn update_link(
+        &mut self,
+        topology: &Topology,
+        link: LinkId,
+        link_up: impl Fn(LinkId) -> bool,
+        node_up: impl Fn(NodeId) -> bool,
+    ) {
+        let (a, b) = topology.link_endpoints(link);
+        if !node_up(a) || !node_up(b) {
+            return;
+        }
+        let patched = if link_up(link) {
+            self.join_components(a, b, topology.link_delay(link))
+        } else {
+            self.cut_bridge(topology, a, b, &link_up, &node_up)
+        };
+        if !patched {
+            *self = Self::shortest_paths_filtered(topology, link_up, node_up);
+        }
+    }
+
+    /// Nodes reachable from `x` according to the table (including `x`).
+    fn component_of(&self, x: NodeId) -> Vec<usize> {
+        let row = &self.dist[x.index()];
+        (0..self.n).filter(|&t| row[t] != UNREACHABLE).collect()
+    }
+
+    /// Handles the loss of the live link `a`–`b`. Returns `false`, leaving
+    /// the table untouched, if `b` is still reachable from `a` over up links
+    /// and nodes, i.e. the link was not a bridge.
+    fn cut_bridge(
+        &mut self,
+        topology: &Topology,
+        a: NodeId,
+        b: NodeId,
+        link_up: impl Fn(LinkId) -> bool,
+        node_up: impl Fn(NodeId) -> bool,
+    ) -> bool {
+        let mut on_a_side = vec![false; self.n];
+        on_a_side[a.index()] = true;
+        let mut stack = vec![a];
+        while let Some(u) = stack.pop() {
+            for (v, l) in topology.neighbors(u) {
+                if on_a_side[v.index()] || !link_up(l) || !node_up(v) {
+                    continue;
+                }
+                if v == b {
+                    return false;
+                }
+                on_a_side[v.index()] = true;
+                stack.push(v);
+            }
+        }
+        // Before the cut, `a`'s component was both sides together.
+        let (side_a, side_b): (Vec<usize>, Vec<usize>) =
+            self.component_of(a).into_iter().partition(|&t| on_a_side[t]);
+        for (from, to) in [(&side_a, &side_b), (&side_b, &side_a)] {
+            for &s in from {
+                for &t in to {
+                    self.next[s][t] = None;
+                    self.dist[s][t] = UNREACHABLE;
+                }
+            }
+        }
+        true
+    }
+
+    /// Handles the repair of the link `a`–`b` of delay `w` between two live
+    /// nodes. Returns `false`, leaving the table untouched, if `a` and `b`
+    /// were already connected.
+    fn join_components(&mut self, a: NodeId, b: NodeId, w: SimDuration) -> bool {
+        if self.distance(a, b).is_some() {
+            return false;
+        }
+        let (side_a, side_b) = (self.component_of(a), self.component_of(b));
+        for (near, far, from, to) in [(a, b, &side_a, &side_b), (b, a, &side_b, &side_a)] {
+            for &s in from {
+                let via = if s == near.index() { Some(far) } else { self.next[s][near.index()] };
+                let to_near = self.dist[s][near.index()] + w;
+                for &t in to {
+                    self.next[s][t] = via;
+                    self.dist[s][t] = to_near + self.dist[far.index()][t];
+                }
+            }
+        }
+        true
+    }
+
     /// The first hop on the shortest path from `src` to `dst`, or `None` if
     /// `src == dst` or `dst` is unreachable.
     #[must_use]
@@ -111,7 +223,7 @@ impl RoutingTable {
     #[must_use]
     pub fn distance(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
         let d = self.dist[src.index()][dst.index()];
-        (d != SimDuration::from_nanos(u64::MAX)).then_some(d)
+        (d != UNREACHABLE).then_some(d)
     }
 
     /// The full node sequence of the shortest path from `src` to `dst`

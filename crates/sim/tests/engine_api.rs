@@ -237,3 +237,46 @@ fn backbone_hosts_reach_each_other_through_sim() {
     assert_eq!(arrival, SimTime::ZERO + direct, "shortest-path delay");
     assert!(sim.total_link_bytes() >= 100 * 2, "multiple hops accounted");
 }
+
+/// A rejoin storm in miniature: cutting a single-homed host's access link
+/// leaves it with no route in either direction, and restoring the link
+/// restores exactly the table from before the cut.
+#[test]
+fn access_link_cut_and_restore_round_trips_routing() {
+    use gcopss_sim::FaultPlan;
+
+    let b = generators::rocketfuel_like(11, &generators::BackboneParams {
+        core_routers: 10,
+        edge_per_core: 1,
+        ..Default::default()
+    });
+    let mut topo = b.topology;
+    let hosts = generators::attach_hosts(&mut topo, &b.edge, 6, SimDuration::from_millis(1), "h");
+    let host = hosts[2];
+    let (router, _) = topo.neighbors(host).next().expect("single-homed host");
+    let access = topo.link_between(host, router).expect("access link");
+    let all: Vec<NodeId> = topo.node_ids().collect();
+    let mut sim: Simulator<Pkt, World> = Simulator::new(topo, World::new());
+    sim.install_faults(
+        FaultPlan::new(3)
+            .link_down(SimTime::from_millis(10), access)
+            .link_up(SimTime::from_millis(20), access),
+    );
+    let before = sim.routing().clone();
+
+    sim.run_until(SimTime::from_millis(15));
+    assert!(!sim.link_is_up(access));
+    for &x in &all {
+        assert_eq!(sim.routing().next_hop(host, x), None, "{host} -> {x}");
+        assert_eq!(sim.routing().next_hop(x, host), None, "{x} -> {host}");
+        if x != host {
+            assert_eq!(sim.routing().distance(x, host), None);
+        }
+    }
+    // Routes between other hosts are untouched.
+    assert_eq!(sim.routing().next_hop(hosts[0], hosts[1]), before.next_hop(hosts[0], hosts[1]));
+
+    sim.run();
+    assert!(sim.link_is_up(access));
+    assert_eq!(*sim.routing(), before);
+}

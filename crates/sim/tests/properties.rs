@@ -4,7 +4,8 @@
 use gcopss_compat::prop;
 use gcopss_sim::telemetry::LogHistogram;
 use gcopss_sim::{
-    generators, Ctx, NodeBehavior, NodeId, RoutingTable, SimDuration, SimPacket, SimTime, Simulator,
+    generators, Ctx, FaultPlan, LinkId, NodeBehavior, NodeId, RoutingTable, SimDuration, SimPacket,
+    SimTime, Simulator,
 };
 
 const CASES: u32 = 24;
@@ -257,6 +258,81 @@ fn path_delay_equals_distance() {
                     .sum();
                 assert_eq!(Some(total), rt.distance(x, y));
             }
+        }
+    });
+}
+
+/// After every fault event, the routing table the engine keeps up to date
+/// (patched in place for bridge cuts and joins, recomputed otherwise)
+/// equals a full all-pairs recompute over the surviving subgraph.
+///
+/// The backbones have single-homed leaf hosts (every access link is a
+/// bridge), mesh shortcuts and an extra edge-to-edge link (cycles), and
+/// 1–2 ms core delays (equal-delay ties). The plans mix bridge and
+/// non-bridge link cuts and repairs, node crashes and restarts, link
+/// events at dead endpoints, and leaf cuts during their router's crash.
+/// Release builds run this too, where the engine's own debug-build check
+/// is compiled out.
+#[test]
+fn fault_time_routing_matches_full_recompute() {
+    // Each op is (kind, target); ops fire 1 ms apart in order.
+    let ops = prop::vec((prop::range(0u8..7), prop::range(0usize..1000)), 1..=40);
+    let input = (prop::range(0u64..1000), prop::range(1usize..10), ops);
+    prop::check(0x51309, CASES, &input, |(seed, hosts, ops)| {
+        let params = generators::BackboneParams {
+            core_routers: 7,
+            edge_per_core: 1,
+            extra_link_fraction: 0.5,
+            core_delay_ms: (1, 2),
+            edge_delay: SimDuration::from_millis(1),
+        };
+        let mut b = generators::rocketfuel_like(*seed, &params);
+        let topo = &mut b.topology;
+        topo.try_add_link(b.edge[0], b.edge[1], SimDuration::from_millis(2), None).unwrap();
+        let hs = generators::attach_hosts(topo, &b.edge, *hosts, SimDuration::from_millis(1), "h");
+        let access: Vec<(LinkId, NodeId)> = hs
+            .iter()
+            .map(|&h| {
+                let (r, l) = topo.neighbors(h).next().unwrap();
+                (l, r)
+            })
+            .collect();
+        let links: Vec<LinkId> = (0..topo.link_count()).map(|i| LinkId(i as u32)).collect();
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+
+        let mut plan = FaultPlan::new(*seed);
+        let mut t = 0;
+        let mut at = || {
+            t += 1;
+            SimTime::from_millis(t)
+        };
+        for &(kind, k) in ops {
+            let (leaf, router) = access[k % access.len()];
+            plan = match kind {
+                0 => plan.link_down(at(), links[k % links.len()]),
+                1 => plan.link_up(at(), links[k % links.len()]),
+                2 => plan.node_down(at(), nodes[k % nodes.len()]),
+                3 => plan.node_up(at(), nodes[k % nodes.len()]),
+                4 => plan.link_down(at(), leaf),
+                5 => plan.link_up(at(), leaf),
+                // A leaf cut and repair while its router is down.
+                _ => plan
+                    .node_down(at(), router)
+                    .link_down(at(), leaf)
+                    .link_up(at(), leaf)
+                    .link_down(at(), leaf)
+                    .node_up(at(), router),
+            };
+        }
+        let mut sim: Simulator<Pkt, World> = Simulator::new(b.topology, World::new());
+        sim.install_faults(plan);
+        while sim.step(1) == 1 {
+            let full = RoutingTable::shortest_paths_filtered(
+                sim.topology(),
+                |l| sim.link_is_up(l),
+                |n| sim.node_is_up(n),
+            );
+            assert!(*sim.routing() == full, "diverged at {}", sim.now());
         }
     });
 }
