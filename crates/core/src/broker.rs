@@ -354,16 +354,12 @@ impl SnapshotBroker {
             if count * den * 2 < monitored * num {
                 self.hot.remove(&key);
                 ctx.world().bump("cache-class-demotions");
-                if ctx.telemetry_enabled() {
-                    ctx.counter("cache-class-demotions", 1);
-                }
+                ctx.counter("cache-class-demotions", 1);
             }
         } else if monitored >= ac.min_window && count * den >= monitored * num {
             self.hot.insert(key);
             ctx.world().bump("cache-class-promotions");
-            if ctx.telemetry_enabled() {
-                ctx.counter("cache-class-promotions", 1);
-            }
+            ctx.counter("cache-class-promotions", 1);
         }
     }
 
@@ -418,10 +414,8 @@ impl SnapshotBroker {
         let g = GPacket::Copss(CopssPacket::Multicast(m));
         let size = g.wire_size();
         ctx.send(self.edge, g);
-        if ctx.telemetry_enabled() {
-            ctx.counter("broker-cyclic-sent", 1);
-            ctx.observe("broker-snapshot-bytes", u64::from(size));
-        }
+        ctx.counter("broker-cyclic-sent", 1);
+        ctx.observe("broker-snapshot-bytes", u64::from(size));
         ctx.world().bump("broker-cyclic-sent");
         ctx.schedule(self.params.cyclic_gap, idx as u64);
     }
@@ -489,9 +483,7 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                             self.send_data(ctx, i.name, payload);
                         }
                     }
-                    if ctx.telemetry_enabled() {
-                        ctx.counter("broker-qr-served", 1);
-                    }
+                    ctx.counter("broker-qr-served", 1);
                     ctx.world().bump("broker-qr-served");
                 } else if let Some((idx, join)) = self.parse_ctl_name(&i.name) {
                     if join {
@@ -518,37 +510,23 @@ impl NodeBehavior<GPacket, GameWorld> for SnapshotBroker {
                     let cd = self.serving[idx].clone();
                     let wire = self.chunks.manifest_of(&self.objects, &cd, idx).encode();
                     self.send_data(ctx, i.name, Bytes::from(wire));
-                    if ctx.telemetry_enabled() {
-                        ctx.counter("broker-manifest-served", 1);
-                    }
+                    ctx.counter("broker-manifest-served", 1);
                     ctx.world().bump("broker-manifest-served");
                 } else if let Some(id) = parse_chunk_name(&i.name) {
                     let held = self.chunks.store.get(id).map(|b| Bytes::from(b.to_vec()));
                     if let Some(payload) = held {
                         ctx.consume(self.params.broker_per_object);
                         self.send_chunk(ctx, i.name, payload);
-                        if ctx.telemetry_enabled() {
-                            ctx.counter("broker-chunk-served", 1);
-                        }
+                        ctx.counter("broker-chunk-served", 1);
                         ctx.world().bump("broker-chunk-served");
                     } else {
                         // /chunk routes to every broker and chunk names
                         // carry no CD: the fan-out is expected to miss at
                         // every broker but the holder.
-                        ctx.emit(
-                            gcopss_sim::TraceEvent::Drop,
-                            crate::drops::BROKER_CHUNK_MISS,
-                            i.encoded_len() as u32,
-                        );
-                        ctx.world().bump(crate::drops::BROKER_CHUNK_MISS);
+                        ctx.drop_packet(crate::drops::BROKER_CHUNK_MISS, i.encoded_len() as u32);
                     }
                 } else {
-                    ctx.emit(
-                        gcopss_sim::TraceEvent::Drop,
-                        crate::drops::BROKER_UNKNOWN_INTEREST,
-                        i.encoded_len() as u32,
-                    );
-                    ctx.world().bump(crate::drops::BROKER_UNKNOWN_INTEREST);
+                    ctx.drop_packet(crate::drops::BROKER_UNKNOWN_INTEREST, i.encoded_len() as u32);
                 }
             }
             _ => {}
@@ -730,9 +708,7 @@ impl MovingPlayerClient {
                 }
             }
             ctx.world().bump("mover-fetch-superseded");
-            if ctx.telemetry_enabled() {
-                ctx.emit(gcopss_sim::TraceEvent::Mark, "mover-fetch-superseded", 0);
-            }
+            ctx.mark("mover-fetch-superseded");
         }
 
         if mv.snapshot_cds.is_empty() {
@@ -1000,12 +976,7 @@ impl NodeBehavior<GPacket, GameWorld> for MovingPlayerClient {
         match pkt {
             GPacket::Copss(CopssPacket::Multicast(m)) => {
                 if !self.dedup.insert(m.id) {
-                    ctx.emit(
-                        gcopss_sim::TraceEvent::Drop,
-                        crate::drops::CLIENT_DUPLICATE_DROPPED,
-                        m.encoded_len() as u32,
-                    );
-                    ctx.world().bump(crate::drops::CLIENT_DUPLICATE_DROPPED);
+                    ctx.drop_packet(crate::drops::CLIENT_DUPLICATE_DROPPED, m.encoded_len() as u32);
                     return;
                 }
                 if m.cd.name().get(0).map(Component::as_str) == Some("snapcast") {
@@ -1014,9 +985,7 @@ impl NodeBehavior<GPacket, GameWorld> for MovingPlayerClient {
                     let now = ctx.now();
                     ctx.world().record_delivery(m.id, self.player, now);
                     ctx.lineage_deliver(self.player.0);
-                    if ctx.telemetry_enabled() {
-                        ctx.counter("delivered", 1);
-                    }
+                    ctx.counter("delivered", 1);
                 }
             }
             GPacket::Data(d) => self.on_snapshot_data(ctx, &d),

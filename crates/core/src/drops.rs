@@ -1,20 +1,25 @@
 //! Registry of every drop-reason tag the engines emit.
 //!
-//! Each intentional packet drop in the workspace is tagged with one of the
-//! constants below (behavior-level drops via `Ctx::emit`, engine-level
-//! fault drops with the two `gcopss_sim` tags). Centralizing the strings
-//! does two things:
+//! Each intentional drop in the workspace is tagged with one of the
+//! constants below: behavior-level drops through `Ctx::drop_packet`,
+//! `Ctx::drop_entries` (purged soft state) and `Ctx::shed` (source-side
+//! sheds); engine-level fault and overload drops with the five tags
+//! re-exported from `gcopss_sim`. Centralizing the strings does two things:
 //!
-//! * emit sites can't typo a tag into a new, untracked bucket;
+//! * drop sites can't typo a tag into a new, untracked bucket;
 //! * the drop-reason coverage test walks [`ALL`] and asserts every tag
 //!   shows up in at least one telemetry export from the experiment suite,
 //!   so a new drop site cannot ship silently untagged (add its constant
 //!   here and the gate forces an exercising experiment).
 //!
-//! Per-reason counts appear in every telemetry summary (`Ctx::emit` bumps
-//! a counter named by the tag alongside the aggregate `"drop"`), and the
-//! same strings tag lineage drop records, so the delivery auditor's
-//! explanations use this vocabulary too.
+//! Every drop is recorded once, by the engine: its always-on drop ledger
+//! (`Simulator::drop_count`) counts the items lost per tag, and with
+//! telemetry on the same call bumps a per-node counter named by the tag
+//! (by the same amount) next to the aggregate `"drop"` and journals one
+//! record. The same strings tag lineage drop records, so the delivery
+//! auditor's explanations use this vocabulary too.
+
+pub use gcopss_sim::{AQM_SHED, LINK_LOST, NODE_LOST, QUEUE_FULL, STALE_SUPERSEDED};
 
 /// A COPSS `ToRp` packet reached a router with no FIB route toward the RP.
 pub const TORP_NO_ROUTE: &str = "torp-no-route";
@@ -59,21 +64,6 @@ pub const CLIENT_LATE_CATCHUP: &str = "client-late-catchup";
 /// A client rejected a `/chunk` Data whose payload does not hash to the id
 /// in its name (content-addressed integrity check).
 pub const CLIENT_CHUNK_CORRUPT: &str = "client-chunk-corrupt";
-/// Engine fault injection: the packet died on a down/lossy link
-/// (tagged by `gcopss_sim`'s transmit path, listed here for coverage).
-pub const LINK_LOST: &str = "link-lost";
-/// Engine fault injection: the packet was queued at (or destined to) a
-/// crashed node (tagged by `gcopss_sim`, listed here for coverage).
-pub const NODE_LOST: &str = "node-lost";
-/// Engine overload control: an arrival was rejected by (or a queued packet
-/// evicted from) a full bounded service queue (tagged by `gcopss_sim`).
-pub const QUEUE_FULL: &str = "queue-full";
-/// Engine overload control: the CoDel-style AQM shed a packet whose
-/// head-of-queue sojourn proved a standing queue (tagged by `gcopss_sim`).
-pub const AQM_SHED: &str = "aqm-shed";
-/// Engine overload control: a queued position update was evicted in favor
-/// of a newer arrival with the same supersede key (tagged by `gcopss_sim`).
-pub const STALE_SUPERSEDED: &str = "stale-superseded";
 /// A client shed a publish at the source because congestion feedback
 /// stretched its allowed cadence (capped multiplicative rate reduction).
 pub const RATE_LIMITED: &str = "rate-limited";

@@ -22,7 +22,7 @@
 //! (`queue-full` / `aqm-shed` / `stale-superseded` / `rate-limited`).
 //! G-COPSS AQM runs can additionally be audited end-to-end: with every
 //! overload drop recorded on the packet's lineage (source sheds included,
-//! via `Ctx::lineage_shed`), the delivery auditor must explain 100 % of
+//! via `Ctx::shed`), the delivery auditor must explain 100 % of
 //! the owed pairs with zero unexplained losses — overload degrades
 //! *gracefully*, never *silently*.
 
@@ -268,6 +268,7 @@ struct RunHarvest {
     world: GameWorld,
     bytes: u64,
     drops: (u64, u64, u64),
+    rate_limited: u64,
     marks: u64,
     ctl_in: u64,
     ctl_drop: u64,
@@ -310,6 +311,7 @@ fn run_one(
     let ctl_drop = sim.telemetry().counter_total("ctl-drop");
     let bytes = sim.total_link_bytes();
     let drops = sim.overload_drops();
+    let rate_limited = sim.drop_count(crate::drops::RATE_LIMITED);
     let marks = sim.congestion_marks();
     if let Some((cap, label)) = telemetry {
         cap.collect(&sim, label);
@@ -318,6 +320,7 @@ fn run_one(
         world: sim.into_world(),
         bytes,
         drops,
+        rate_limited,
         marks,
         ctl_in,
         ctl_drop,
@@ -366,7 +369,7 @@ fn make_row(
         queue_full,
         aqm_shed,
         stale_superseded,
-        rate_limited: h.world.counters.get("rate-limited").copied().unwrap_or(0),
+        rate_limited: h.rate_limited,
         marks: h.marks,
         network_bytes: h.bytes,
         audit_clean: h.audit.as_ref().map(|&(_, _, clean)| clean),

@@ -84,8 +84,7 @@ pub fn route_ip_at_router(ctx: &mut Ctx<'_, GPacket, GameWorld>, ip: IpPacket) {
             let g = GPacket::Ip(ip);
             let size = g.wire_size();
             if ctx.send_toward(dst, g).is_none() {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_NO_ROUTE, size);
-                ctx.world().bump(crate::drops::IP_NO_ROUTE);
+                ctx.drop_packet(crate::drops::IP_NO_ROUTE, size);
             }
         }
         IpPacket::Mcast { group, dsts, inner } => {
@@ -181,7 +180,7 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
                     return;
                 };
                 let purged = self.st.remove_face(face);
-                ctx.world().bump_by(crate::drops::ST_PURGED, purged.len() as u64);
+                ctx.drop_entries(crate::drops::ST_PURGED, purged.len());
                 let me = ctx.node();
                 for cd in &purged {
                     for group in groups_for_subscription(cd, self.group_count) {
@@ -280,12 +279,10 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
                 if dsts.contains(&me) {
                     // Filter: only actually-subscribed hosts receive it.
                     if self.st.matching_faces(&inner.cd, None, None).is_empty() {
-                        ctx.emit(
-                            gcopss_sim::TraceEvent::Drop,
+                        ctx.drop_packet(
                             crate::drops::HYBRID_FILTERED_UNWANTED,
                             inner.encoded_len() as u32,
                         );
-                        ctx.world().bump(crate::drops::HYBRID_FILTERED_UNWANTED);
                     } else {
                         self.deliver_to_hosts(ctx, &inner, None);
                     }
@@ -294,8 +291,7 @@ impl NodeBehavior<GPacket, GameWorld> for HybridEdgeRouter {
             }
             GPacket::Ip(other) => route_ip_at_router(ctx, other),
             _ => {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::HYBRID_UNEXPECTED_PACKET, 0);
-                ctx.world().bump(crate::drops::HYBRID_UNEXPECTED_PACKET);
+                ctx.drop_packet(crate::drops::HYBRID_UNEXPECTED_PACKET, 0);
             }
         }
     }

@@ -126,8 +126,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
                 return;
             }
             _ => {
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::SERVER_UNEXPECTED_PACKET, 0);
-                ctx.world().bump(crate::drops::SERVER_UNEXPECTED_PACKET);
+                ctx.drop_packet(crate::drops::SERVER_UNEXPECTED_PACKET, 0);
                 return;
             }
         };
@@ -140,12 +139,10 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
             // Connection model: a player whose session was lost in a server
             // crash gets nothing until it re-hellos.
             if self.recovery.is_some() && !self.connected.contains(&p) {
-                ctx.emit(
-                    gcopss_sim::TraceEvent::Drop,
+                ctx.drop_packet(
                     crate::drops::SERVER_DISCONNECTED_PLAYER,
                     update.encoded_len() as u32,
                 );
-                ctx.world().bump(crate::drops::SERVER_DISCONNECTED_PLAYER);
                 continue;
             }
             let client = self.roster.player_nodes[p.index()];
@@ -156,11 +153,9 @@ impl NodeBehavior<GPacket, GameWorld> for IpServer {
             ctx.send_toward(client, g);
             recipients += 1;
         }
-        if ctx.telemetry_enabled() {
-            ctx.counter("server-updates-in", 1);
-            ctx.counter("server-unicasts-out", recipients);
-            ctx.observe("server-fanout", recipients);
-        }
+        ctx.counter("server-updates-in", 1);
+        ctx.counter("server-unicasts-out", recipients);
+        ctx.observe("server-fanout", recipients);
         ctx.consume(self.params.server_per_recipient.saturating_mul(recipients));
     }
 
@@ -289,16 +284,13 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
                 // Shed at the source (never published — the auditor sees
                 // an unpublished trace event, not a lost packet); the
                 // trace keeps advancing.
-                ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::RATE_LIMITED, size);
-                ctx.lineage_shed(id, crate::drops::RATE_LIMITED);
-                ctx.world().bump(crate::drops::RATE_LIMITED);
+                ctx.shed(id, crate::drops::RATE_LIMITED, size);
                 self.schedule_next(ctx);
                 return;
             }
         }
         let Some(&server) = self.server_of.get(&cd) else {
-            ctx.emit(gcopss_sim::TraceEvent::Drop, crate::drops::IP_CLIENT_NO_SERVER, e.size);
-            ctx.world().bump(crate::drops::IP_CLIENT_NO_SERVER);
+            ctx.drop_packet(crate::drops::IP_CLIENT_NO_SERVER, e.size);
             return;
         };
         let now = ctx.now();
@@ -328,9 +320,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             }
             ctx.world().record_delivery(update.id, self.player, now);
             ctx.lineage_deliver(self.player.0);
-            if ctx.telemetry_enabled() {
-                ctx.counter("delivered", 1);
-            }
+            ctx.counter("delivered", 1);
         }
     }
 

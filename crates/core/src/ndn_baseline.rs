@@ -178,9 +178,7 @@ impl NdnPlayerClient {
         let nonce = self.nonce();
         let g = GPacket::Interest(Interest::new(name, nonce));
         ctx.send(self.edge, g);
-        if ctx.telemetry_enabled() {
-            ctx.counter("ndn-interests-expressed", 1);
-        }
+        ctx.counter("ndn-interests-expressed", 1);
         let now = ctx.now();
         self.consumer[producer_idx].outstanding.insert(seq, now);
     }
@@ -194,10 +192,8 @@ impl NdnPlayerClient {
         let g = GPacket::Data(data);
         let size = g.wire_size();
         ctx.send(self.edge, g);
-        if ctx.telemetry_enabled() {
-            ctx.counter("ndn-batches-answered", 1);
-            ctx.observe("ndn-batch-bytes", u64::from(size));
-        }
+        ctx.counter("ndn-batches-answered", 1);
+        ctx.observe("ndn-batch-bytes", u64::from(size));
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
@@ -318,12 +314,7 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
                     self.pending_seqs.insert(seq);
                 } else {
                     // Aged out of history.
-                    ctx.emit(
-                        gcopss_sim::TraceEvent::Drop,
-                        crate::drops::NDN_BATCH_EXPIRED,
-                        i.encoded_len() as u32,
-                    );
-                    ctx.world().bump(crate::drops::NDN_BATCH_EXPIRED);
+                    ctx.drop_packet(crate::drops::NDN_BATCH_EXPIRED, i.encoded_len() as u32);
                 }
             }
             // Consumer role: a producer's batch arrived.
@@ -354,7 +345,7 @@ impl NodeBehavior<GPacket, GameWorld> for NdnPlayerClient {
                     ctx.lineage_deliver(self.player.0);
                     delivered += 1;
                 }
-                if delivered > 0 && ctx.telemetry_enabled() {
+                if delivered > 0 {
                     ctx.counter("delivered", delivered);
                 }
                 // Slide the pipeline window.

@@ -9,7 +9,7 @@ use gcopss_copss::{CopssEngine, CopssPacket, JoinRequest, MulticastPacket, Prune
 use gcopss_names::Name;
 use gcopss_ndn::{FaceId, NdnAction, NdnConfig, NdnEngine};
 use gcopss_sim::prof;
-use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime, Topology, TraceEvent};
+use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime, Topology};
 
 use crate::{GPacket, GameWorld, RecoveryConfig, SimParams, SplitRecord};
 
@@ -342,9 +342,7 @@ impl GCopssRouter {
                 }
                 None => {
                     ctx.world().bump("join-pending-no-route");
-                    if ctx.telemetry_enabled() {
-                        ctx.emit(TraceEvent::Mark, "join-pending-no-route", 0);
-                    }
+                    ctx.mark("join-pending-no-route");
                     self.pending_joins.push(j);
                 }
             }
@@ -672,7 +670,7 @@ impl GCopssRouter {
         self.served_since_split = 0;
 
         let now = ctx.now();
-        ctx.emit(TraceEvent::Mark, "rp-split", 0);
+        ctx.mark("rp-split");
         ctx.world().bump("rp-splits");
         ctx.world().splits.push(SplitRecord {
             at: now,
@@ -709,8 +707,10 @@ impl GCopssRouter {
                                 ctx.send(node, g);
                             }
                         } else {
-                            ctx.emit(TraceEvent::Drop, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
-                            ctx.world().bump(crate::drops::TORP_NO_ROUTE);
+                            ctx.drop_packet(
+                                crate::drops::TORP_NO_ROUTE,
+                                inner.encoded_len() as u32,
+                            );
                         }
                     }
                     // Keep the old tree warm during the grace period (both
@@ -727,8 +727,7 @@ impl GCopssRouter {
                     }
                 }
                 None => {
-                    ctx.emit(TraceEvent::Drop, crate::drops::TORP_UNSERVED_CD, inner.encoded_len() as u32);
-                    ctx.world().bump(crate::drops::TORP_UNSERVED_CD);
+                    ctx.drop_packet(crate::drops::TORP_UNSERVED_CD, inner.encoded_len() as u32);
                 }
             }
         } else {
@@ -741,8 +740,7 @@ impl GCopssRouter {
                     }
                 }
                 None => {
-                    ctx.emit(TraceEvent::Drop, crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
-                    ctx.world().bump(crate::drops::TORP_NO_ROUTE);
+                    ctx.drop_packet(crate::drops::TORP_NO_ROUTE, inner.encoded_len() as u32);
                 }
             }
         }
@@ -833,7 +831,7 @@ impl GCopssRouter {
             .rp_moves
             .extend(cds.iter().map(|c| (c.clone(), new_rp.0)));
         self.on_rp_update(ctx, None, cds, new_rp);
-        ctx.emit(TraceEvent::Mark, "rp-handoff", 0);
+        ctx.mark("rp-handoff");
         ctx.world().bump("rp-handoffs");
     }
 
@@ -917,7 +915,7 @@ impl GCopssRouter {
             ctx.world().rp_locations.remove(&rp);
             ctx.world().bump("rp-failovers");
             ctx.counter("rp-failovers", 1);
-            ctx.emit(TraceEvent::Mark, "rp-failover", 0);
+            ctx.mark("rp-failover");
             ctx.world()
                 .rp_moves
                 .extend(moved.iter().map(|c| (c.clone(), survivor.0)));
@@ -1027,13 +1025,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 return;
             };
             let swept = self.ndn.pit_mut().expire(ctx.now().as_nanos());
-            if swept > 0 {
-                ctx.world().bump_by(crate::drops::PIT_EXPIRED, swept as u64);
-                if ctx.telemetry_enabled() {
-                    ctx.counter(crate::drops::PIT_EXPIRED, swept as u64);
-                    ctx.emit(TraceEvent::Drop, crate::drops::PIT_EXPIRED, swept as u32);
-                }
-            }
+            ctx.drop_entries(crate::drops::PIT_EXPIRED, swept);
             // Re-arm only while entries remain, so fault-free runs still
             // drain to quiescence.
             if self.ndn.pit().is_empty() {
@@ -1053,19 +1045,9 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 };
                 // Purge the per-face soft state of the dead adjacency.
                 let (purged, _joins, prunes) = self.copss.handle_face_down(face);
-                ctx.world().bump_by(crate::drops::ST_PURGED, purged.len() as u64);
+                ctx.drop_entries(crate::drops::ST_PURGED, purged.len());
                 let dropped = self.ndn.pit_mut().purge_face(face);
-                ctx.world().bump_by(crate::drops::PIT_PURGED, dropped as u64);
-                if ctx.telemetry_enabled() {
-                    if !purged.is_empty() {
-                        ctx.counter(crate::drops::ST_PURGED, purged.len() as u64);
-                        ctx.emit(TraceEvent::Drop, crate::drops::ST_PURGED, purged.len() as u32);
-                    }
-                    if dropped > 0 {
-                        ctx.counter(crate::drops::PIT_PURGED, dropped as u64);
-                        ctx.emit(TraceEvent::Drop, crate::drops::PIT_PURGED, dropped as u32);
-                    }
-                }
+                ctx.drop_entries(crate::drops::PIT_PURGED, dropped);
                 // Repair routes first, then re-anchor: joins and prunes
                 // must travel the surviving paths.
                 self.repair_rp_routes(ctx);
@@ -1163,12 +1145,10 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                         }
                         Some(rp) => self.on_to_rp(ctx, rp, m),
                         None => {
-                            ctx.emit(
-                                TraceEvent::Drop,
+                            ctx.drop_packet(
                                 crate::drops::PUBLICATION_UNSERVED_CD,
                                 m.encoded_len() as u32,
                             );
-                            ctx.world().bump(crate::drops::PUBLICATION_UNSERVED_CD);
                         }
                     }
                 } else {

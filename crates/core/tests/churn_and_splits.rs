@@ -11,7 +11,7 @@ use gcopss_core::broker::{
 use gcopss_core::scenario::{
     expected_deliveries, ClientFactory, ExtraHost, GcopssConfig, NetworkSpec, ScenarioSpec,
 };
-use gcopss_core::{MetricsMode, SimParams};
+use gcopss_core::{drops, MetricsMode, SimParams};
 use gcopss_game::{MovementModel, MovementParams};
 use gcopss_sim::{SimDuration, SimTime};
 
@@ -174,9 +174,9 @@ fn movement_churn_keeps_control_plane_consistent() {
 
     // All updates published; control plane never hit a routing hole.
     assert_eq!(world.metrics.published(), w.trace.len() as u64);
-    assert_eq!(world.counter("torp-no-route"), 0);
-    assert_eq!(world.counter("publication-unserved-cd"), 0);
-    assert_eq!(world.counter("broker-unknown-interest"), 0);
+    assert_eq!(b.sim.drop_count(drops::TORP_NO_ROUTE), 0);
+    assert_eq!(b.sim.drop_count(drops::PUBLICATION_UNSERVED_CD), 0);
+    assert_eq!(b.sim.drop_count(drops::BROKER_UNKNOWN_INTEREST), 0);
     // Movement completed with convergence records and snapshot bytes.
     assert!(!world.convergence.is_empty());
     assert!(world.convergence.iter().any(|c| c.bytes > 0));

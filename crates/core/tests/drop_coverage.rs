@@ -11,6 +11,11 @@
 //! interests, unexpected packet kinds, aged-out NDN batches), and a
 //! past-capacity run behind a tight bounded queue for the overload sheds
 //! (`queue-full`, `aqm-shed`, `stale-superseded`, `rate-limited`).
+//!
+//! After every scenario the gate also checks that each tag reads the same
+//! count in telemetry as in the engine's drop ledger
+//! (`Simulator::drop_count`), and that no tag is counted in the world's
+//! free-form counters.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -38,9 +43,19 @@ use gcopss_sim::{
 /// Publication-id space for injected packets, far above any trace id.
 const INJECT_ID: u64 = 1 << 50;
 
+/// Collects the tags this run fired, and checks that every view of a drop
+/// reads one count: the telemetry per-reason counter equals the engine's
+/// drop ledger (a purge of n entries counts n in both), and no drop tag
+/// leaks into the world's free-form counters.
 fn harvest(sim: &Simulator<GPacket, GameWorld>, seen: &mut BTreeSet<&'static str>) {
     for &tag in drops::ALL {
-        if sim.telemetry().counter_total(tag) > 0 {
+        let total = sim.telemetry().counter_total(tag);
+        assert_eq!(total, sim.drop_count(tag), "telemetry vs drop ledger for {tag:?}");
+        assert!(
+            !sim.world().counters.contains_key(tag),
+            "drop tag {tag:?} counted in the world counters"
+        );
+        if total > 0 {
             seen.insert(tag);
         }
     }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use gcopss_core::scenario::{
     expected_deliveries, GcopssConfig, HybridConfig, IpConfig, NetworkSpec, ScenarioSpec,
 };
-use gcopss_core::{MetricsMode, SimParams};
+use gcopss_core::{drops, MetricsMode, SimParams};
 use gcopss_game::trace::{microbenchmark_trace, MicrobenchParams};
 use gcopss_game::{GameMap, ObjectModel, ObjectModelParams, PlayerPopulation};
 use gcopss_sim::SimDuration;
@@ -63,8 +63,8 @@ fn gcopss_delivers_exactly_the_aoi_testbed_one_rp() {
     );
     assert_eq!(w.duplicate_deliveries, 0, "steady state must be a tree");
     assert!(w.metrics.stats().mean() > SimDuration::ZERO);
-    assert_eq!(w.counter("torp-no-route"), 0);
-    assert_eq!(w.counter("publication-unserved-cd"), 0);
+    assert_eq!(built.sim.drop_count(drops::TORP_NO_ROUTE), 0);
+    assert_eq!(built.sim.drop_count(drops::PUBLICATION_UNSERVED_CD), 0);
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn ip_server_delivers_exactly_the_aoi() {
     assert_eq!(w.metrics.published(), s.trace.len() as u64);
     assert_eq!(w.metrics.delivered(), s.expected);
     assert_eq!(w.duplicate_deliveries, 0);
-    assert_eq!(w.counter("ip-no-route"), 0);
+    assert_eq!(built.sim.drop_count(drops::IP_NO_ROUTE), 0);
 }
 
 #[test]
@@ -190,7 +190,7 @@ fn hybrid_filtering_discards_unwanted_group_traffic() {
     let w = built.sim.world();
     assert_eq!(w.metrics.delivered(), s.expected);
     assert!(
-        w.counter("hybrid-filtered-unwanted") > 0,
+        built.sim.drop_count(drops::HYBRID_FILTERED_UNWANTED) > 0,
         "2 groups over 6 prefixes must cause filtered traffic"
     );
 }

@@ -1,12 +1,14 @@
 //! The discrete-event simulation engine.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-use crate::fault::FaultState;
+use crate::fault::{FaultState, LINK_LOST, NODE_LOST};
 use crate::json::Json;
 use crate::lineage::{LineageConfig, LineageLog, NO_SPAN};
-use crate::overload::{AdmissionPolicy, OverloadConfig, OverloadState};
+use crate::overload::{
+    AdmissionPolicy, OverloadConfig, OverloadState, AQM_SHED, QUEUE_FULL, STALE_SUPERSEDED,
+};
 use crate::prof;
 use crate::stream::{MetricStreams, StreamConfig};
 use crate::telemetry::{
@@ -117,6 +119,7 @@ pub struct Ctx<'a, P, W> {
     telemetry: &'a mut Telemetry,
     streams: &'a mut MetricStreams,
     lineage: &'a mut LineageLog,
+    drops: &'a mut DropLedger,
     /// Lineage span of the packet currently being serviced ([`NO_SPAN`]
     /// in timer/start/fault callbacks): the causal parent of every effect
     /// the behavior requests.
@@ -227,7 +230,7 @@ impl<P, W> Ctx<'_, P, W> {
     }
 
     /// Whether telemetry is recording — lets behaviors skip building
-    /// anything expensive that only feeds [`Ctx::emit`] and friends.
+    /// anything expensive that only feeds [`Ctx::counter`] and friends.
     #[must_use]
     #[inline]
     pub fn telemetry_enabled(&self) -> bool {
@@ -345,49 +348,146 @@ impl<P, W> Ctx<'_, P, W> {
         self.lineage.is_enabled()
     }
 
-    /// Records a source-side shed: message `lid` was never handed to the
-    /// network (e.g. a client's congestion pacer suppressed the publish),
-    /// so no span exists to mark. Appends a root-level drop record with
-    /// `reason` so the delivery auditor can still explain every pair the
-    /// message owed. No-op while lineage tracing is disabled or `lid` is
-    /// unsampled.
+    /// Records that this node discarded the packet it is servicing (or,
+    /// outside packet service, a packet it never sent) for `reason`: one
+    /// entry in the drop ledger, a drop on the serviced packet's lineage,
+    /// and — with telemetry on — the `"drop"` and per-reason counters plus
+    /// one journal record of `size` bytes.
     #[inline]
-    pub fn lineage_shed(&mut self, lid: u64, reason: &'static str) {
-        self.lineage.drop_at(lid, NO_SPAN, self.node.0, reason, self.now);
+    pub fn drop_packet(&mut self, reason: &'static str, size: u32) {
+        let span = match self.lineage.lineage_of(self.cur_span) {
+            Some(lid) => DropSpan::New { lid, cause: self.cur_span },
+            None => DropSpan::None,
+        };
+        let d = Dropped::packet(self.now, self.node, None, span, reason, size);
+        record_drop(self.drops, self.telemetry, self.lineage, d);
     }
 
-    /// Appends a behavior-level event (typically [`TraceEvent::Drop`] or
-    /// [`TraceEvent::Mark`]) to the packet-trace journal, and bumps the
-    /// matching per-node counter (`"drop"` / `"mark"`). No-op while
-    /// telemetry is disabled.
-    ///
-    /// Drops are additionally recorded on the lineage of the packet being
-    /// serviced (when traced), so the auditor can explain the loss — that
-    /// part works even with telemetry off.
+    /// Records `n` soft-state entries (PIT, subscription table) this node
+    /// purged for `reason`: `n` in the ledger and the per-reason counter,
+    /// one `"drop"` and one journal record whose size field carries `n`.
+    /// Nothing is recorded when `n == 0`.
     #[inline]
-    pub fn emit(&mut self, event: TraceEvent, class: &'static str, size: u32) {
-        if event == TraceEvent::Drop {
-            self.lineage
-                .drop_from(self.cur_span, self.node.0, class, self.now);
-        }
+    pub fn drop_entries(&mut self, reason: &'static str, n: usize) {
+        let d = Dropped {
+            n: n as u64,
+            size: n as u32,
+            ..Dropped::packet(self.now, self.node, None, DropSpan::None, reason, 0)
+        };
+        record_drop(self.drops, self.telemetry, self.lineage, d);
+    }
+
+    /// Records a source-side shed: message `lid` (of `size` bytes) was
+    /// never handed to the network (e.g. a client's congestion pacer
+    /// suppressed the publish). Counted like [`Ctx::drop_packet`]; its
+    /// lineage gets a root-level drop record so the delivery auditor can
+    /// still explain every pair the message owed.
+    #[inline]
+    pub fn shed(&mut self, lid: u64, reason: &'static str, size: u32) {
+        let span = DropSpan::New { lid, cause: NO_SPAN };
+        let d = Dropped::packet(self.now, self.node, None, span, reason, size);
+        record_drop(self.drops, self.telemetry, self.lineage, d);
+    }
+
+    /// Appends a behavior-level [`TraceEvent::Mark`] tagged `class` to the
+    /// packet-trace journal and bumps this node's `"mark"` counter. No-op
+    /// while telemetry is disabled.
+    #[inline]
+    pub fn mark(&mut self, class: &'static str) {
         if !self.telemetry.is_enabled() {
             return;
         }
-        self.telemetry.counter(self.node.0, event.as_str(), 1);
-        if event == TraceEvent::Drop {
-            // Mirror the engine's fault drops: a per-reason counter next to
-            // the aggregate, so every drop tag is visible in the counters
-            // export (not just in journal samples) — the drop-reason
-            // coverage gate reads these.
-            self.telemetry.counter(self.node.0, class, 1);
-        }
+        self.telemetry.counter(self.node.0, TraceEvent::Mark.as_str(), 1);
         self.telemetry.journal(TraceRecord {
             ts: self.now,
             node: self.node.0,
-            event,
+            event: TraceEvent::Mark,
             class,
-            size,
+            size: 0,
             peer: u32::MAX,
+            dur_ns: 0,
+        });
+    }
+}
+
+/// The engine's always-on drop ledger: items lost per reason, whatever the
+/// telemetry setting. Read through [`Simulator::drop_count`].
+type DropLedger = BTreeMap<&'static str, u64>;
+
+/// Which lineage record a drop writes.
+#[derive(Clone, Copy)]
+enum DropSpan {
+    /// None: the packet is untraced, or the items are table entries.
+    None,
+    /// The copy's open hop span (an arrival or a queued packet) becomes
+    /// the drop.
+    Open(u32),
+    /// A new closed drop record of message `lid`, caused by span `cause`
+    /// (a loss on the wire, a behavior discarding what it serviced, a
+    /// source-side shed).
+    New { lid: u64, cause: u32 },
+}
+
+/// One drop as every observer sees it.
+struct Dropped {
+    at: SimTime,
+    node: NodeId,
+    /// The neighbor the packet came from (or was sent to, for wire
+    /// losses); the journal's `peer`.
+    from: Option<NodeId>,
+    span: DropSpan,
+    reason: &'static str,
+    /// Items lost: 1 for a packet, the entry count of a purge batch.
+    n: u64,
+    size: u32,
+}
+
+impl Dropped {
+    /// One packet of `size` bytes.
+    fn packet(
+        at: SimTime,
+        node: NodeId,
+        from: Option<NodeId>,
+        span: DropSpan,
+        reason: &'static str,
+        size: u32,
+    ) -> Self {
+        Self { at, node, from, span, reason, n: 1, size }
+    }
+}
+
+/// Records a drop — fault, overload or behavior — in every store at once,
+/// so the ledger, the lineage, the telemetry counters and the journal
+/// cannot disagree: `n` added to the ledger; the lineage drop; with
+/// telemetry on, `"drop"` + 1, the reason's counter + `n` and one journal
+/// record whose class is the reason. `n == 0` records nothing.
+fn record_drop(
+    ledger: &mut DropLedger,
+    telemetry: &mut Telemetry,
+    lineage: &mut LineageLog,
+    d: Dropped,
+) {
+    if d.n == 0 {
+        return;
+    }
+    *ledger.entry(d.reason).or_insert(0) += d.n;
+    match d.span {
+        DropSpan::None => {}
+        DropSpan::Open(span) => lineage.mark_dropped(span, d.reason, d.at),
+        DropSpan::New { lid, cause } => {
+            lineage.drop_at(lid, cause, d.node.0, d.reason, d.at);
+        }
+    }
+    if telemetry.is_enabled() {
+        telemetry.counter(d.node.0, "drop", 1);
+        telemetry.counter(d.node.0, d.reason, d.n);
+        telemetry.journal(TraceRecord {
+            ts: d.at,
+            node: d.node.0,
+            event: TraceEvent::Drop,
+            class: d.reason,
+            size: d.size,
+            peer: d.from.map_or(u32::MAX, |n| n.0),
             dur_ns: 0,
         });
     }
@@ -502,6 +602,8 @@ pub struct Simulator<P, W> {
     /// Per-message causal span log; disabled (one branch per hook) by
     /// default.
     lineage: LineageLog,
+    /// Items dropped per reason; always on (see [`record_drop`]).
+    drops: DropLedger,
     /// Span of the packet currently being serviced; the causal parent of
     /// transmissions requested by the running behavior.
     cur_span: u32,
@@ -545,6 +647,7 @@ impl<P: SimPacket, W> Simulator<P, W> {
             on_start_done: false,
             telemetry: Telemetry::disabled(n, l),
             lineage: LineageLog::disabled(),
+            drops: DropLedger::new(),
             cur_span: NO_SPAN,
             timeseries: None,
             streams: MetricStreams::disabled(),
@@ -653,14 +756,22 @@ impl<P: SimPacket, W> Simulator<P, W> {
         &self.streams
     }
 
+    /// Items dropped so far for `reason`: packets, or purged table entries
+    /// for the purge reasons. Read from the engine's drop ledger, which
+    /// counts every drop whether or not telemetry is on; with telemetry on,
+    /// `telemetry().counter_total(reason)` reads the same number.
+    #[must_use]
+    pub fn drop_count(&self, reason: &str) -> u64 {
+        self.drops.get(reason).copied().unwrap_or(0)
+    }
+
     /// Packets shed by overload control so far, as
     /// `(queue_full, aqm_shed, stale_superseded)`. All zero when overload
     /// control is not active.
     #[must_use]
     pub fn overload_drops(&self) -> (u64, u64, u64) {
-        self.overload
-            .as_ref()
-            .map_or((0, 0, 0), |o| (o.queue_full, o.aqm_shed, o.stale_superseded))
+        let n = |r| self.drop_count(r);
+        (n(QUEUE_FULL), n(AQM_SHED), n(STALE_SUPERSEDED))
     }
 
     /// Packets congestion-marked so far (zero without overload control).
@@ -673,9 +784,7 @@ impl<P: SimPacket, W> Simulator<P, W> {
     /// `(link_lost, node_lost)`. Both zero when faults are not active.
     #[must_use]
     pub fn fault_drops(&self) -> (u64, u64) {
-        self.faults
-            .as_ref()
-            .map_or((0, 0), |f| (f.link_lost, f.node_lost))
+        (self.drop_count(LINK_LOST), self.drop_count(NODE_LOST))
     }
 
     /// The time the last repair event (`LinkUp`/`NodeUp`) was applied.
@@ -1032,8 +1141,9 @@ impl<P: SimPacket, W> Simulator<P, W> {
                 if self.faults.as_ref().is_some_and(|f| !f.node_up[node.index()]) {
                     // The destination is down: the packet is blackholed.
                     let _flt = prof::scope("engine/fault");
-                    self.lineage.mark_dropped(span, "node-lost", self.now);
-                    self.fault_drop(node, from, size, "node-lost");
+                    let span = DropSpan::Open(span);
+                    let d = Dropped::packet(self.now, node, from, span, NODE_LOST, size);
+                    record_drop(&mut self.drops, &mut self.telemetry, &mut self.lineage, d);
                     return;
                 }
                 if self.overload.is_some() && !self.admit(node, from, &pkt, size, span) {
@@ -1214,8 +1324,9 @@ impl<P: SimPacket, W> Simulator<P, W> {
                 st.serving = false;
                 let flushed: Vec<Queued<P>> = st.queue.drain(..).collect();
                 for q in flushed {
-                    self.lineage.mark_dropped(q.span, "node-lost", self.now);
-                    self.fault_drop(n, q.from, q.size, "node-lost");
+                    let span = DropSpan::Open(q.span);
+                    let d = Dropped::packet(self.now, n, q.from, span, NODE_LOST, q.size);
+                    record_drop(&mut self.drops, &mut self.telemetry, &mut self.lineage, d);
                 }
                 self.update_routing(None);
                 let peers: Vec<NodeId> = self
@@ -1282,31 +1393,6 @@ impl<P: SimPacket, W> Simulator<P, W> {
         self.with_behavior(node, |b, ctx| b.on_fault(ctx, notice));
     }
 
-    /// Records a packet dropped by fault injection at `node`.
-    fn fault_drop(&mut self, node: NodeId, from: Option<NodeId>, size: u32, reason: &'static str) {
-        if let Some(f) = self.faults.as_mut() {
-            match reason {
-                "link-lost" => f.link_lost += 1,
-                _ => f.node_lost += 1,
-            }
-        }
-        self.telemetry.counter(node.0, "drop", 1);
-        self.telemetry.counter(node.0, reason, 1);
-        if self.telemetry.is_enabled() {
-            // Like `Ctx::emit`, the journal's class field carries the drop
-            // reason.
-            self.telemetry.journal(TraceRecord {
-                ts: self.now,
-                node: node.0,
-                event: TraceEvent::Drop,
-                class: reason,
-                size,
-                peer: from.map_or(u32::MAX, |n| n.0),
-                dur_ns: 0,
-            });
-        }
-    }
-
     /// Admission control for an arrival at a bounded queue. Returns `true`
     /// when the arrival should be enqueued (possibly after evicting a
     /// queued victim); `false` when it was rejected (fully accounted here:
@@ -1342,7 +1428,7 @@ impl<P: SimPacket, W> Simulator<P, W> {
             if let Some(key) = pkt.supersede_key() {
                 victim = (start..st.queue.len())
                     .find(|&i| st.queue[i].pkt.supersede_key() == Some(key))
-                    .map(|i| (i, "stale-superseded"));
+                    .map(|i| (i, STALE_SUPERSEDED));
             }
         }
         // (2)/(3) Policy-driven overflow. With priorities on, the victim is
@@ -1362,71 +1448,39 @@ impl<P: SimPacket, W> Simulator<P, W> {
                     } else {
                         start
                     };
-                    Some((idx, "queue-full"))
+                    Some((idx, QUEUE_FULL))
                 }
                 AdmissionPolicy::DropTail | AdmissionPolicy::CoDel { .. } => {
                     if priority_on && worst > arriving_class {
                         (start..st.queue.len())
                             .rfind(|&i| st.queue[i].pkt.priority() == worst)
-                            .map(|i| (i, "queue-full"))
+                            .map(|i| (i, QUEUE_FULL))
                     } else {
                         None
                     }
                 }
             };
         }
-        match victim {
+        let (d, ctl, admitted) = match victim {
             Some((i, reason)) => {
                 let q = self.nodes[node.index()]
                     .queue
                     .remove(i)
                     .expect("victim index in range");
-                let ctl = q.pkt.priority() == 0;
-                self.lineage.mark_dropped(q.span, reason, self.now);
-                self.overload_drop(node, q.from, q.size, reason, ctl);
-                true
+                let span = DropSpan::Open(q.span);
+                let d = Dropped::packet(self.now, node, q.from, span, reason, q.size);
+                (d, q.pkt.priority() == 0, true)
             }
             None => {
-                self.lineage.mark_dropped(span, "queue-full", self.now);
-                self.overload_drop(node, from, size, "queue-full", arriving_class == 0);
-                false
+                let span = DropSpan::Open(span);
+                let d = Dropped::packet(self.now, node, from, span, QUEUE_FULL, size);
+                (d, arriving_class == 0, false)
             }
-        }
-    }
-
-    /// Records a packet shed by overload control at `node`: same telemetry
-    /// and journal shape as [`Simulator::fault_drop`], but accounted
-    /// against the overload counters (never the fault-injection ones).
-    fn overload_drop(
-        &mut self,
-        node: NodeId,
-        from: Option<NodeId>,
-        size: u32,
-        reason: &'static str,
-        ctl: bool,
-    ) {
-        if let Some(o) = self.overload.as_mut() {
-            match reason {
-                "queue-full" => o.queue_full += 1,
-                "aqm-shed" => o.aqm_shed += 1,
-                _ => o.stale_superseded += 1,
-            }
-        }
-        self.telemetry.counter(node.0, "drop", 1);
-        self.telemetry.counter(node.0, reason, 1);
+        };
+        record_drop(&mut self.drops, &mut self.telemetry, &mut self.lineage, d);
         self.telemetry
             .counter(node.0, if ctl { "ctl-drop" } else { "bulk-drop" }, 1);
-        if self.telemetry.is_enabled() {
-            self.telemetry.journal(TraceRecord {
-                ts: self.now,
-                node: node.0,
-                event: TraceEvent::Drop,
-                class: reason,
-                size,
-                peer: from.map_or(u32::MAX, |n| n.0),
-                dur_ns: 0,
-            });
-        }
+        admitted
     }
 
     fn try_start_service(&mut self, node: NodeId) {
@@ -1503,8 +1557,11 @@ impl<P: SimPacket, W> Simulator<P, W> {
                 .pop_front()
                 .expect("non-empty");
             let ctl = q.pkt.priority() == 0;
-            self.lineage.mark_dropped(q.span, "aqm-shed", self.now);
-            self.overload_drop(node, q.from, q.size, "aqm-shed", ctl);
+            let span = DropSpan::Open(q.span);
+            let d = Dropped::packet(self.now, node, q.from, span, AQM_SHED, q.size);
+            record_drop(&mut self.drops, &mut self.telemetry, &mut self.lineage, d);
+            self.telemetry
+                .counter(node.0, if ctl { "ctl-drop" } else { "bulk-drop" }, 1);
         }
     }
 
@@ -1529,6 +1586,7 @@ impl<P: SimPacket, W> Simulator<P, W> {
             telemetry: &mut self.telemetry,
             streams: &mut self.streams,
             lineage: &mut self.lineage,
+            drops: &mut self.drops,
             cur_span: self.cur_span,
             marked: self.cur_marked,
             sends: Vec::new(),
@@ -1586,18 +1644,11 @@ impl<P: SimPacket, W> Simulator<P, W> {
             }
         }
         if let Some(f) = self.faults.as_mut() {
-            if !f.link_up[link.index()] {
-                if let Some(l) = lid {
-                    self.lineage.drop_at(l, cause, from.0, "link-lost", self.now);
-                }
-                self.fault_drop(from, Some(to), size, "link-lost");
-                return;
-            }
-            if f.drop_on_link() {
-                if let Some(l) = lid {
-                    self.lineage.drop_at(l, cause, from.0, "link-lost", self.now);
-                }
-                self.fault_drop(from, Some(to), size, "link-lost");
+            // `||` short-circuits: a dead link draws no loss.
+            if !f.link_up[link.index()] || f.drop_on_link() {
+                let span = lid.map_or(DropSpan::None, |lid| DropSpan::New { lid, cause });
+                let d = Dropped::packet(self.now, from, Some(to), span, LINK_LOST, size);
+                record_drop(&mut self.drops, &mut self.telemetry, &mut self.lineage, d);
                 return;
             }
         }
@@ -2001,36 +2052,60 @@ mod tests {
     }
 
     #[test]
-    fn ctx_emit_and_counter_flow_into_report() {
+    fn ctx_drops_marks_and_counters_flow_into_report() {
         struct Dropper;
         impl NodeBehavior<Pkt, World> for Dropper {
             fn on_packet(&mut self, ctx: &mut Ctx<'_, Pkt, World>, _f: Option<NodeId>, _p: Pkt) {
                 ctx.counter("seen", 1);
                 ctx.observe("size", 64);
                 ctx.gauge("depth", 3);
-                ctx.emit(TraceEvent::Drop, "no-route", 64);
+                ctx.drop_packet("no-route", 64);
+                ctx.drop_entries("purged", 3);
+                ctx.drop_entries("purged", 0);
+                ctx.mark("noted");
             }
         }
-        let mut t = Topology::new();
-        let a = t.add_node("a");
-        let mut sim = Simulator::new(t, World::default());
-        sim.set_behavior(a, Box::new(Dropper));
-        sim.enable_telemetry(TelemetryConfig::default());
-        sim.inject(SimTime::ZERO, a, Pkt(1, 64));
-        sim.run();
-        assert_eq!(sim.telemetry().counter_value(0, "seen"), 1);
-        assert_eq!(sim.telemetry().counter_value(0, "drop"), 1);
+        let run = |telemetry: bool| {
+            let mut t = Topology::new();
+            let a = t.add_node("a");
+            let mut sim = Simulator::new(t, World::default());
+            sim.set_behavior(a, Box::new(Dropper));
+            if telemetry {
+                sim.enable_telemetry(TelemetryConfig::default());
+            }
+            sim.inject(SimTime::ZERO, a, Pkt(1, 64));
+            sim.run();
+            sim
+        };
+        // The ledger counts with telemetry off too.
+        let off = run(false);
+        assert_eq!((off.drop_count("no-route"), off.drop_count("purged")), (1, 3));
+        let sim = run(true);
+        assert_eq!((sim.drop_count("no-route"), sim.drop_count("purged")), (1, 3));
+        let tel = sim.telemetry();
+        assert_eq!(tel.counter_value(0, "seen"), 1);
+        // One "drop" per record; the per-reason counter carries the items.
+        assert_eq!(tel.counter_value(0, "drop"), 2);
+        assert_eq!(tel.counter_value(0, "no-route"), 1);
+        assert_eq!(tel.counter_value(0, "purged"), 3);
+        assert_eq!(tel.counter_value(0, "mark"), 1);
         let s = sim.telemetry_report("t", 0).summary.to_string();
         assert!(s.contains(r#""metric":"depth","value":3"#), "{s}");
         assert!(s.contains(r#""metric":"size""#), "{s}");
-        let drops: Vec<_> = sim
-            .telemetry()
+        let journal: Vec<_> = tel
             .journal_records()
             .iter()
-            .filter(|r| r.event == TraceEvent::Drop)
+            .filter(|r| matches!(r.event, TraceEvent::Drop | TraceEvent::Mark))
+            .map(|r| (r.event, r.class, r.size))
             .collect();
-        assert_eq!(drops.len(), 1);
-        assert_eq!(drops[0].class, "no-route");
+        assert_eq!(
+            journal,
+            [
+                (TraceEvent::Drop, "no-route", 64),
+                (TraceEvent::Drop, "purged", 3),
+                (TraceEvent::Mark, "noted", 0),
+            ]
+        );
     }
 
     #[test]

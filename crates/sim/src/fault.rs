@@ -15,7 +15,8 @@
 //!   every node event reruns
 //!   [`crate::RoutingTable::shortest_paths_filtered`],
 //! * drops packets crossing a dead link or addressed to a dead node,
-//!   counting `link-lost` / `node-lost` drop reasons in telemetry, and
+//!   recording them as [`LINK_LOST`] / [`NODE_LOST`] in the engine's drop
+//!   ledger (`Simulator::drop_count`), and
 //! * notifies affected [`crate::NodeBehavior`]s through
 //!   [`crate::NodeBehavior::on_fault`] so protocol layers can run their
 //!   recovery half (soft-state purge, re-subscription, RP failover).
@@ -28,6 +29,11 @@
 use gcopss_compat::{Rng, SeedableRng, StdRng};
 
 use crate::{LinkId, NodeId, SimDuration, SimTime};
+
+/// Drop reason: the packet died on a down or lossy link.
+pub const LINK_LOST: &str = "link-lost";
+/// Drop reason: the packet was queued at, or addressed to, a crashed node.
+pub const NODE_LOST: &str = "node-lost";
 
 /// One scheduled failure or repair event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,8 +227,6 @@ pub(crate) struct FaultState {
     pub node_up: Vec<bool>,
     pub loss: f64,
     pub rng: StdRng,
-    pub link_lost: u64,
-    pub node_lost: u64,
     pub last_repair: Option<SimTime>,
 }
 
@@ -233,8 +237,6 @@ impl FaultState {
             node_up: vec![true; nodes],
             loss,
             rng: StdRng::seed_from_u64(seed),
-            link_lost: 0,
-            node_lost: 0,
             last_repair: None,
         }
     }

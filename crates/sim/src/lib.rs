@@ -17,7 +17,8 @@
 //!   are single-server FIFO queues (per-packet service time), links add
 //!   propagation delay plus serialization time when bandwidth is finite —
 //!   exactly the two latency sources the paper measures (processing and
-//!   queueing).
+//!   queueing). Every drop, whoever causes it, is counted once in an
+//!   always-on drop ledger ([`Simulator::drop_count`]).
 //! * [`fault`] — deterministic fault injection: a seeded chaos schedule of
 //!   link/node failures and repairs plus per-hop Bernoulli loss, with
 //!   routing recomputed over the surviving subgraph after every change and
@@ -121,8 +122,8 @@ mod time;
 mod topology;
 
 pub use engine::{Ctx, NodeBehavior, SimPacket, Simulator};
-pub use fault::{FaultEvent, FaultNotice, FaultPlan};
-pub use overload::{AdmissionPolicy, OverloadConfig};
+pub use fault::{FaultEvent, FaultNotice, FaultPlan, LINK_LOST, NODE_LOST};
+pub use overload::{AdmissionPolicy, OverloadConfig, AQM_SHED, QUEUE_FULL, STALE_SUPERSEDED};
 pub use lineage::{AuditReport, LineageConfig, LineageLog, SpanEvent, SpanRecord, NO_SPAN};
 pub use stream::{MetricStreams, SpaceSaving, StreamConfig};
 pub use telemetry::{

@@ -223,8 +223,10 @@ impl LineageLog {
         }
     }
 
-    /// Records an immediate, already-closed drop (transmit-time losses:
-    /// the copy never reached a queue).
+    /// Records an immediate, already-closed drop of message `lid` caused
+    /// by span `cause`: a transmit-time loss (the copy never reached a
+    /// queue), a behavior discarding the copy it was servicing, or a
+    /// source-side shed (`cause` = [`NO_SPAN`]).
     pub fn drop_at(
         &mut self,
         lid: u64,
@@ -281,25 +283,6 @@ impl LineageLog {
         })
     }
 
-    /// Records an application-level drop (a behavior discarded the copy
-    /// it was servicing), caused by `cause_span`.
-    pub fn drop_from(&mut self, cause_span: u32, node: u32, reason: &'static str, now: SimTime) {
-        let Some(lid) = self.lineage_of(cause_span) else {
-            return;
-        };
-        self.push(SpanRecord {
-            lineage: lid,
-            node,
-            cause: cause_span,
-            entity: NO_ENTITY,
-            reason,
-            event: SpanEvent::Drop,
-            t_enqueue: now,
-            t_service_start: now,
-            t_done: now,
-        });
-    }
-
     /// Registers what lineage `lid` owes: published by `publisher` at
     /// `t_publish`, owed to each of `entities` exactly once. Respects
     /// sampling so the audit universe matches the recorded universe.
@@ -320,7 +303,8 @@ impl LineageLog {
         self.spans.get_mut(span as usize)
     }
 
-    fn lineage_of(&self, span: u32) -> Option<u64> {
+    /// The message a span belongs to (`None` when untraced).
+    pub(crate) fn lineage_of(&self, span: u32) -> Option<u64> {
         if !self.enabled || span == NO_SPAN {
             return None;
         }
@@ -750,7 +734,7 @@ mod tests {
         let o = log.origin(1, 0, at(0));
         log.close(o, at(0));
         let h = log.hop(1, o, 1, at(1));
-        log.drop_from(h, 1, "client-duplicate-dropped", at(1));
+        log.drop_at(1, h, 1, "client-duplicate-dropped", at(1));
         log.close(h, at(1));
         log.expect(1, at(0), 0, &[5]);
         let report = log.audit(at(100), None);

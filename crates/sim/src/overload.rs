@@ -8,14 +8,14 @@
 //! pluggable admission policy:
 //!
 //! * **Drop-tail** — an arrival to a full queue is rejected
-//!   (`"queue-full"`), unless priority shedding finds a worse victim.
+//!   ([`QUEUE_FULL`]), unless priority shedding finds a worse victim.
 //! * **Head-drop** — the oldest waiting packet (of the lowest-priority
 //!   class, when priorities are on) is evicted to admit the arrival;
 //!   under sustained overload this keeps queue contents fresh.
 //! * **CoDel** — a hand-rolled sojourn-time AQM in the spirit of Nichols &
 //!   Jacobson's CoDel (no external crates, per the hermetic policy): when
 //!   the queue's head sojourn time has stayed above `target` for a full
-//!   `interval`, packets are shed at dequeue (`"aqm-shed"`) at a rate that
+//!   `interval`, packets are shed at dequeue ([`AQM_SHED`]) at a rate that
 //!   increases with the square root of the drop count. Bounded by the same
 //!   hard `queue_capacity` (tail behavior) like a real router.
 //!
@@ -25,7 +25,7 @@
 //! never AQM-shed, and on overflow the lowest-priority packet loses. The
 //! packet's `SimPacket::supersede_key` additionally lets a full queue
 //! evict a *stale* queued update that the arrival supersedes
-//! (`"stale-superseded"`) — position updates are only ever useful in
+//! ([`STALE_SUPERSEDED`]) — position updates are only ever useful in
 //! their latest version.
 //!
 //! `mark_sojourn` enables congestion feedback: a packet whose total
@@ -41,6 +41,16 @@
 //! builds.
 
 use crate::{SimDuration, SimTime};
+
+/// Drop reason: a full bounded queue rejected an arrival or evicted a
+/// queued packet to admit one.
+pub const QUEUE_FULL: &str = "queue-full";
+/// Drop reason: the CoDel-style AQM shed a head whose sojourn proved a
+/// standing queue.
+pub const AQM_SHED: &str = "aqm-shed";
+/// Drop reason: a queued update was evicted for a newer arrival with the
+/// same supersede key.
+pub const STALE_SUPERSEDED: &str = "stale-superseded";
 
 /// How a bounded service queue sheds load (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,12 +186,6 @@ pub(crate) struct OverloadState {
     pub(crate) cfg: OverloadConfig,
     /// Per-node CoDel control state (empty unless the policy is CoDel).
     pub(crate) codel: Vec<CoDelState>,
-    /// Arrivals rejected / queued packets evicted on overflow.
-    pub(crate) queue_full: u64,
-    /// Packets shed by the CoDel AQM at dequeue.
-    pub(crate) aqm_shed: u64,
-    /// Stale queued updates evicted in favor of a superseding arrival.
-    pub(crate) stale_superseded: u64,
     /// Packets congestion-marked on sojourn overrun.
     pub(crate) marks: u64,
 }
@@ -199,9 +203,6 @@ impl OverloadState {
         Self {
             cfg,
             codel,
-            queue_full: 0,
-            aqm_shed: 0,
-            stale_superseded: 0,
             marks: 0,
         }
     }

@@ -240,7 +240,9 @@ pub enum TraceEvent {
     Send,
     /// A packet finished service and was delivered to the behavior.
     Deliver,
-    /// A behavior discarded a packet (no route, no subscribers, …).
+    /// A packet (or a batch of purged table entries) was dropped, by the
+    /// engine (faults, overload) or a behavior (no route, …); the record's
+    /// class is the drop reason.
     Drop,
     /// A behavior-defined marker (splits, handoffs, …).
     Mark,
