@@ -21,7 +21,6 @@ fn main() {
             counters: vec!["delivered", "drop", "rp-failovers", "st-purged"],
             gauges: vec!["st-entries"],
             per_node: vec!["rp-served"],
-            ..TimeSeriesConfig::default()
         });
     let updates = h.opts.scaled(10_000, 50_000);
     let players = h.opts.scaled(120, 414);

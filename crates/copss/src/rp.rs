@@ -92,11 +92,6 @@ impl RpTable {
         Ok(())
     }
 
-    /// Removes the assignment for exactly `prefix`, returning its RP.
-    pub fn unassign(&mut self, prefix: &Name) -> Option<RpId> {
-        self.served.remove(prefix)
-    }
-
     /// Replaces the single served prefix `prefix` by `children` (all direct
     /// or indirect extensions of it), keeping the same RP. This is the
     /// refinement step before a split can offload part of a served prefix.

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use gcopss_names::{BloomParams, Cd, CdSet, CountingBloomFilter, Name, NameTreeBitmap};
+use gcopss_names::{Cd, CdSet, CountingBloomFilter, Name, NameTreeBitmap};
 use gcopss_ndn::FaceId;
 
 use crate::RpId;
@@ -100,7 +100,6 @@ pub struct SubscriptionTable {
     /// Shared match index: subscription name → per-face anchor entries.
     index: NameTreeBitmap<BTreeMap<FaceId, SubEntry>>,
     faces: BTreeMap<FaceId, FaceTable>,
-    bloom_params: BloomParams,
 }
 
 #[derive(Debug, Clone)]
@@ -110,14 +109,13 @@ struct FaceTable {
 }
 
 impl SubscriptionTable {
-    /// Creates an empty table whose per-face Bloom filters use the given
-    /// sizing.
+    /// Creates an empty table; per-face Bloom filters use the default
+    /// [`gcopss_names::BloomParams`] sizing.
     #[must_use]
-    pub fn new(bloom_params: BloomParams) -> Self {
+    pub fn new() -> Self {
         Self {
             index: NameTreeBitmap::new(),
             faces: BTreeMap::new(),
-            bloom_params,
         }
     }
 
@@ -155,10 +153,9 @@ impl SubscriptionTable {
     /// `true` if the face was not already subscribed to exactly `cd`;
     /// re-subscribing merges into the matching provenance's anchor set.
     pub fn subscribe(&mut self, face: FaceId, cd: Name, rps: BTreeSet<RpId>, auto: bool) -> bool {
-        let params = self.bloom_params;
         let ft = self.faces.entry(face).or_insert_with(|| FaceTable {
             entries: BTreeMap::new(),
-            bloom: CountingBloomFilter::new(params),
+            bloom: CountingBloomFilter::default(),
         });
         let mut created = false;
         let e = ft.entries.entry(cd.clone()).or_insert_with(|| {
@@ -439,7 +436,7 @@ impl SubscriptionTable {
 
 impl Default for SubscriptionTable {
     fn default() -> Self {
-        Self::new(BloomParams::default())
+        Self::new()
     }
 }
 

@@ -97,7 +97,7 @@ const OBJECT_DIRTY_WINDOW: usize = 64;
 
 /// Deterministic synthetic content of one object's snapshot, `len` bytes
 /// long: a stable FNV-1a base stream keyed by the object id alone, with a
-/// small [`OBJECT_DIRTY_WINDOW`]-byte region (at a version-keyed offset)
+/// small `OBJECT_DIRTY_WINDOW`-byte region (at a version-keyed offset)
 /// rewritten per version. Unchanged objects reproduce identical bytes on
 /// every call, a growing object extends its tail without disturbing earlier
 /// bytes, and an update perturbs only a field-sized window — so
@@ -156,6 +156,18 @@ pub enum SnapshotMode {
     CyclicMulticast,
 }
 
+/// Adaptive cache policy ([`SimParams::cache_adaptive`]): the share
+/// `(num, den)` of the `qr-pop` sketch's recent mass at which a content
+/// descriptor becomes hot. It cools again below half that share.
+const HOT_SHARE: (u64, u64) = (1, 4);
+
+/// Minimum recent `qr-pop` sketch mass before anything can be classified
+/// hot (so the first lonely request is not promoted).
+const HOT_MIN_WINDOW: u64 = 32;
+
+/// Freshness multiplier stamped on snapshot Data under hot descriptors.
+const HOT_FRESHNESS_MUL: u64 = 100;
+
 /// A snapshot broker host: subscribes to its serving leaf CDs, applies
 /// every update to its object model, and serves snapshots in both modes.
 pub struct SnapshotBroker {
@@ -177,7 +189,7 @@ pub struct SnapshotBroker {
     /// Prefix keys currently classified *hot* by the adaptive cache policy:
     /// snapshot Data under these prefixes is stamped with a longer freshness
     /// so path content stores absorb flash crowds. Empty unless
-    /// [`SimParams::cache_adaptive`] is set and metric streams are running.
+    /// [`SimParams::cache_adaptive`] is on and metric streams are running.
     hot: BTreeSet<u64>,
 }
 
@@ -324,10 +336,8 @@ impl SnapshotBroker {
         // prefixes the popularity stream classifies hot get a longer
         // freshness so path content stores absorb flash crowds.
         let mut freshness: u64 = 50_000_000;
-        if let Some(ac) = &self.params.cache_adaptive {
-            if self.hot.contains(&cs_prefix_key(&name)) {
-                freshness = freshness.saturating_mul(u64::from(ac.hot_freshness_mul));
-            }
+        if self.hot.contains(&cs_prefix_key(&name)) {
+            freshness = freshness.saturating_mul(HOT_FRESHNESS_MUL);
         }
         let data = Data::with_freshness(name, payload, freshness);
         let g = GPacket::Data(data);
@@ -335,28 +345,24 @@ impl SnapshotBroker {
     }
 
     /// Re-classifies `key` as hot/cold from the live `qr-pop` popularity
-    /// sketch. Entry requires the sketch to have seen a full warm-up window
-    /// and the key to hold at least `hot_num/hot_den` of the monitored mass;
-    /// exit fires at half that share (hysteresis, so a prefix straddling the
+    /// sketch. Entry requires the sketch to have seen [`HOT_MIN_WINDOW`] of
+    /// recent mass and the key to hold at least [`HOT_SHARE`] of it; exit
+    /// fires at half that share (hysteresis, so a prefix straddling the
     /// threshold does not flap its cache class every request).
     fn update_hot(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, key: u64) {
-        let Some(ac) = self.params.cache_adaptive.clone() else {
-            return;
-        };
-        if !ctx.streams_enabled() {
+        if !self.params.cache_adaptive || !ctx.streams_enabled() {
             return;
         }
         let (monitored, _offered) = ctx.stream_mass("qr-pop");
         let count = ctx.stream_count("qr-pop", key).map_or(0, |(c, _)| c);
-        let num = ac.hot_num;
-        let den = ac.hot_den;
+        let (num, den) = HOT_SHARE;
         if self.hot.contains(&key) {
             if count * den * 2 < monitored * num {
                 self.hot.remove(&key);
                 ctx.world().bump("cache-class-demotions");
                 ctx.counter("cache-class-demotions", 1);
             }
-        } else if monitored >= ac.min_window && count * den >= monitored * num {
+        } else if monitored >= HOT_MIN_WINDOW && count * den >= monitored * num {
             self.hot.insert(key);
             ctx.world().bump("cache-class-promotions");
             ctx.counter("cache-class-promotions", 1);
@@ -1007,13 +1013,6 @@ pub fn partition_cds_to_brokers(map: &GameMap, broker_count: usize) -> Vec<Vec<N
         out[i % broker_count.max(1)].push(cd.clone());
     }
     out
-}
-
-/// The extra RP-table prefixes a movement scenario needs: the whole
-/// `/snapcast` namespace, anchored at one RP.
-#[must_use]
-pub fn snapcast_rp_prefixes() -> Vec<Name> {
-    vec![snapcast_ns()]
 }
 
 #[cfg(test)]

@@ -13,9 +13,8 @@ use gcopss_ndn::{Data, Interest};
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime};
 
 use crate::broker::{chunk_name, parse_chunk_name, snapmani_ns, snapshot_ns};
-use crate::{
-    payload_of, CatchUpMode, CatchUpRecord, GPacket, GameWorld, RateAdaptConfig, RecoveryConfig,
-};
+use crate::params::{RECOVERY_BACKOFF_BASE, RECOVERY_BACKOFF_CAP, RECOVERY_JITTER};
+use crate::{payload_of, CatchUpMode, CatchUpRecord, GPacket, GameWorld, RecoveryConfig};
 
 /// Timer key of trace-driven publishing.
 const TIMER_PUBLISH: u64 = 0;
@@ -42,38 +41,40 @@ pub(crate) struct ClientRecovery {
 impl ClientRecovery {
     pub(crate) fn new(cfg: RecoveryConfig, player: PlayerId) -> Self {
         let rng = SmallRng::seed_from_u64(cfg.seed ^ u64::from(player.0));
-        let backoff = cfg.backoff_base;
         Self {
             cfg,
             rng,
             last_activity: SimTime::ZERO,
-            backoff,
+            backoff: RECOVERY_BACKOFF_BASE,
         }
     }
 
     pub(crate) fn jitter(&mut self) -> SimDuration {
-        let max = self.cfg.jitter.as_nanos();
-        if max == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.rng.gen_range(0..=max))
-        }
+        SimDuration::from_nanos(self.rng.gen_range(0..=RECOVERY_JITTER.as_nanos()))
     }
 }
 
+/// The publish gap a client's pacer installs on its first marked delivery,
+/// and the floor below which decay switches the pacer back off.
+const RATE_MIN_GAP: SimDuration = SimDuration::from_millis(20);
+
+/// Cap on the multiplicatively grown publish gap.
+const RATE_CAP: SimDuration = SimDuration::from_millis(500);
+
 /// Client-side congestion-feedback pacer: capped multiplicative rate
 /// reduction of the publish cadence, driven by sojourn marks on deliveries
-/// (see [`RateAdaptConfig`]). Shared by the G-COPSS player client and the
-/// IP baseline client.
+/// (see [`crate::RateAdaptConfig`]). Shared by the G-COPSS player client
+/// and the IP baseline client.
 ///
 /// The pacer is *off* (gap zero) until the first marked delivery installs
-/// `min_gap`; every further marked delivery doubles the gap up to `cap`,
-/// and every clean delivery halves it until it decays below `min_gap` and
-/// switches back off. Publishes attempted inside the gap are shed at the
-/// source with the `"rate-limited"` tag: under overload, a stale position
-/// update sent late is worse than one not sent at all.
+/// [`RATE_MIN_GAP`]; every further marked delivery doubles the gap up to
+/// [`RATE_CAP`], and every clean delivery halves it until it decays below
+/// [`RATE_MIN_GAP`] and switches back off. Publishes attempted inside the
+/// gap are shed at the source with the `"rate-limited"` tag: under
+/// overload, a stale position update sent late is worse than one not sent
+/// at all.
+#[derive(Default)]
 pub(crate) struct RatePacer {
-    pub(crate) cfg: RateAdaptConfig,
     /// Current enforced publish gap; `ZERO` means the pacer is off.
     pub(crate) gap: SimDuration,
     /// When the last admitted publish went out.
@@ -81,14 +82,6 @@ pub(crate) struct RatePacer {
 }
 
 impl RatePacer {
-    pub(crate) fn new(cfg: RateAdaptConfig) -> Self {
-        Self {
-            cfg,
-            gap: SimDuration::ZERO,
-            last_pub: SimTime::ZERO,
-        }
-    }
-
     /// Gates a publish attempt at `now`: admitted attempts stamp
     /// `last_pub`; attempts inside the gap are rejected (shed by the
     /// caller).
@@ -103,9 +96,9 @@ impl RatePacer {
     /// A congestion-marked delivery arrived: stretch the gap.
     pub(crate) fn on_marked(&mut self) {
         self.gap = if self.gap == SimDuration::ZERO {
-            self.cfg.min_gap
+            RATE_MIN_GAP
         } else {
-            self.gap.saturating_mul(2).min(self.cfg.cap)
+            self.gap.saturating_mul(2).min(RATE_CAP)
         };
     }
 
@@ -115,7 +108,7 @@ impl RatePacer {
             return;
         }
         let halved = self.gap / 2;
-        self.gap = if halved < self.cfg.min_gap {
+        self.gap = if halved < RATE_MIN_GAP {
             SimDuration::ZERO
         } else {
             halved
@@ -399,12 +392,13 @@ impl GamePlayerClient {
 
     /// Enables congestion-feedback rate adaptation: congestion-marked
     /// deliveries (see [`gcopss_sim::Ctx::congestion_marked`]) stretch the
-    /// client's own publish cadence multiplicatively up to `cfg.cap`, and
-    /// clean deliveries decay it back. Publishes falling inside the gap are
-    /// shed at the source with the `"rate-limited"` tag.
+    /// client's own publish cadence multiplicatively up to 500 ms (see
+    /// [`crate::RateAdaptConfig`]), and clean deliveries decay it back.
+    /// Publishes falling inside the gap are shed at the source with the
+    /// `"rate-limited"` tag.
     #[must_use]
-    pub fn with_rate_adapt(mut self, cfg: RateAdaptConfig) -> Self {
-        self.pacer = Some(RatePacer::new(cfg));
+    pub fn with_rate_adapt(mut self) -> Self {
+        self.pacer = Some(RatePacer::default());
         self
     }
 
@@ -722,7 +716,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                 let next = if silent {
                     // Still deaf: re-express the subscription and back off.
                     let delay = r.backoff + r.jitter();
-                    r.backoff = (r.backoff + r.backoff).min(r.cfg.backoff_cap);
+                    r.backoff = (r.backoff + r.backoff).min(RECOVERY_BACKOFF_CAP);
                     self.resubscribe(ctx);
                     // Silence after traffic was flowing means state is
                     // being missed; the resync itself waits for the rejoin
@@ -734,7 +728,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
                     delay
                 } else {
                     let r = self.recovery.as_mut().expect("recovery enabled");
-                    r.backoff = r.cfg.backoff_base;
+                    r.backoff = RECOVERY_BACKOFF_BASE;
                     r.cfg.watchdog + r.jitter()
                 };
                 ctx.schedule(next, TIMER_WATCHDOG);
@@ -821,7 +815,7 @@ impl NodeBehavior<GPacket, GameWorld> for GamePlayerClient {
             FaultNotice::LinkUp { .. } | FaultNotice::Restarted => {
                 let now = ctx.now();
                 let r = self.recovery.as_mut().expect("recovery enabled");
-                r.backoff = r.cfg.backoff_base;
+                r.backoff = RECOVERY_BACKOFF_BASE;
                 r.last_activity = now;
                 self.resubscribe(ctx);
                 if matches!(notice, FaultNotice::Restarted) {
@@ -880,40 +874,35 @@ mod tests {
 
     #[test]
     fn rate_pacer_grows_caps_and_decays() {
-        let cfg = RateAdaptConfig {
-            min_gap: SimDuration::from_millis(20),
-            cap: SimDuration::from_millis(80),
-        };
-        let mut p = RatePacer::new(cfg);
+        let mut p = RatePacer::default();
         // Off: back-to-back publishes pass.
         assert!(p.allow(SimTime::ZERO));
         assert!(p.allow(SimTime::from_millis(1)));
-        // Marks: install min_gap, then double to the cap.
+        // Marks: install the 20 ms floor, then double to the 500 ms cap.
         p.on_marked();
         assert_eq!(p.gap, SimDuration::from_millis(20));
-        p.on_marked();
-        p.on_marked();
-        p.on_marked();
-        assert_eq!(p.gap, SimDuration::from_millis(80), "capped");
+        for ms in [40, 80, 160, 320, 500, 500] {
+            p.on_marked();
+            assert_eq!(p.gap, SimDuration::from_millis(ms));
+        }
         // In-gap publish shed; the gap boundary admits.
-        assert!(!p.allow(SimTime::from_millis(50)));
-        assert!(p.allow(SimTime::from_millis(81)));
+        assert!(!p.allow(SimTime::from_millis(300)));
+        assert!(p.allow(SimTime::from_millis(501)));
         // Clean deliveries halve the gap until it switches off.
+        for us in [250_000, 125_000, 62_500, 31_250] {
+            p.on_clean();
+            assert_eq!(p.gap, SimDuration::from_micros(us));
+        }
         p.on_clean();
-        assert_eq!(p.gap, SimDuration::from_millis(40));
-        p.on_clean();
-        assert_eq!(p.gap, SimDuration::from_millis(20));
-        p.on_clean();
-        assert_eq!(p.gap, SimDuration::ZERO, "decayed below min_gap: off");
-        assert!(p.allow(SimTime::from_millis(82)), "off admits immediately");
+        assert_eq!(p.gap, SimDuration::ZERO, "decayed below the floor: off");
+        assert!(p.allow(SimTime::from_millis(502)), "off admits immediately");
     }
 
     #[test]
     fn rate_pacer_mixed_feedback() {
-        let mut p = RatePacer::new(RateAdaptConfig::default());
+        let mut p = RatePacer::default();
         p.on_delivery(true);
-        let after_mark = p.gap;
-        assert_eq!(after_mark, RateAdaptConfig::default().min_gap);
+        assert_eq!(p.gap, RATE_MIN_GAP);
         p.on_delivery(false);
         assert_eq!(p.gap, SimDuration::ZERO);
         // Clean deliveries while off stay off.

@@ -9,7 +9,7 @@
 //!   updates is remapped onto the leaf CDs of one level-1 zone, so one RP's
 //!   queue saturates while the others idle. The static policy splits when
 //!   the instantaneous queue length crosses a hand-tuned threshold; the
-//!   adaptive policy ([`crate::AdaptiveRpConfig`]) watches the queue-depth
+//!   adaptive policy ([`SimParams::rp_adaptive`]) watches the queue-depth
 //!   EWMA and the per-RP served-rate skew from the metric streams and fires
 //!   with hysteresis — earlier, and only when the load is actually
 //!   *skewed* (a uniformly overloaded system gains nothing from moving
@@ -21,7 +21,7 @@
 //!   linger), so concurrent movers stampede the broker. Adaptively, the
 //!   broker watches the live per-prefix popularity sketch and promotes the
 //!   crowd's prefix to a long-freshness cache class
-//!   ([`crate::AdaptiveCacheConfig`]), letting on-path content stores
+//!   ([`SimParams::cache_adaptive`]), letting on-path content stores
 //!   absorb the crowd. Headline: router CS hit-rate and broker load,
 //!   adaptive ≫ static.
 //!
@@ -46,7 +46,7 @@ use crate::router::cs_prefix_key;
 use crate::scenario::{
     expected_deliveries, ClientFactory, ExtraHost, GcopssConfig, NetworkSpec, ScenarioSpec,
 };
-use crate::{AdaptiveCacheConfig, AdaptiveRpConfig, MetricsMode, SimParams};
+use crate::{MetricsMode, SimParams};
 
 use super::audit::register_expectations;
 use super::{TelemetryCapture, Workload, WorkloadParams};
@@ -60,7 +60,7 @@ pub enum RpPolicy {
     /// ([`SimParams::rp_split_queue_threshold`]).
     Static,
     /// Telemetry-driven trigger: queue EWMA + served-rate skew with
-    /// hysteresis ([`crate::AdaptiveRpConfig`]).
+    /// hysteresis ([`SimParams::rp_adaptive`]).
     Adaptive,
 }
 
@@ -82,7 +82,7 @@ pub enum CachePolicy {
     /// One fixed short freshness for all snapshot Data.
     Static,
     /// Popularity-driven per-prefix promotion
-    /// ([`crate::AdaptiveCacheConfig`]).
+    /// ([`SimParams::cache_adaptive`]).
     Adaptive,
 }
 
@@ -126,10 +126,6 @@ pub struct AdaptiveSweepConfig {
     pub queue_capacity: usize,
     /// The static policy's split threshold (instantaneous queue length).
     pub static_threshold: usize,
-    /// Adaptive RP trigger tunables.
-    pub rp_adaptive: AdaptiveRpConfig,
-    /// Adaptive cache-class tunables.
-    pub cache_adaptive: AdaptiveCacheConfig,
     /// Metric-stream pipeline config of the adaptive arms (a vacuous
     /// config would blind every adaptive consumer).
     pub stream: StreamConfig,
@@ -169,13 +165,6 @@ impl Default for AdaptiveSweepConfig {
             // Below the drop point but deep: the static trigger only fires
             // once the queue is already 3/4 full.
             static_threshold: 48,
-            rp_adaptive: AdaptiveRpConfig {
-                // ≈1 s of fresh window at the hot RP's service rate — the
-                // escalation hysteresis does the pacing.
-                cooldown_packets: 300,
-                ..AdaptiveRpConfig::default()
-            },
-            cache_adaptive: AdaptiveCacheConfig::default(),
             // 25 ms rolls: the EWMA tracks a saturating queue within a few
             // service times instead of lagging a 50 ms grid.
             stream: StreamConfig::every(SimDuration::from_millis(25)),
@@ -405,7 +394,7 @@ fn run_rp_arm(
         match policy {
             RpPolicy::Off => {}
             RpPolicy::Static => params = params.with_auto_balancing(cfg.static_threshold),
-            RpPolicy::Adaptive => params = params.with_adaptive_rp(cfg.rp_adaptive.clone()),
+            RpPolicy::Adaptive => params.rp_adaptive = true,
         }
         let sys = GcopssConfig {
             params,
@@ -542,10 +531,10 @@ fn run_cache_arm(
     let mut rows = Vec::new();
     for policy in [CachePolicy::Static, CachePolicy::Adaptive] {
         let label = format!("cache-{}", policy.as_str());
-        let mut params = SimParams::default();
-        if policy == CachePolicy::Adaptive {
-            params = params.with_adaptive_cache(cfg.cache_adaptive.clone());
-        }
+        let params = SimParams {
+            cache_adaptive: policy == CachePolicy::Adaptive,
+            ..SimParams::default()
+        };
 
         // Brokers with prewarmed object models (snapshot sizes in the
         // end-of-trace regime from the first move).

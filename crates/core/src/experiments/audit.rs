@@ -57,7 +57,6 @@ impl Default for AuditConfig {
                 counters: vec!["delivered", "drop", "rp-failovers", "st-purged"],
                 gauges: vec!["st-entries"],
                 per_node: vec!["rp-served"],
-                ..TimeSeriesConfig::default()
             }),
         }
     }

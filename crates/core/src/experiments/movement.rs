@@ -302,12 +302,6 @@ pub fn run_all_with(
     .collect()
 }
 
-/// The extra CD namespaces the movement scenario anchors at RP 0.
-#[must_use]
-pub fn extra_namespaces() -> Vec<Name> {
-    crate::broker::snapcast_rp_prefixes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,10 +90,6 @@ pub struct OverloadSweepConfig {
     /// Sojourn above which delivered packets carry a congestion mark (aqm
     /// regime).
     pub mark_sojourn: SimDuration,
-    /// Client-side rate adaptation, applied in the aqm regime to systems
-    /// whose clients push (G-COPSS, IP; the NDN baseline's consumers pull
-    /// and need no pacer).
-    pub rate_adapt: RateAdaptConfig,
     /// Recovery tunables applied to every system. The default enables the
     /// periodic soft-state Subscribe refresh so real control traffic keeps
     /// contending with bulk data *during* overload — which is exactly what
@@ -131,7 +127,6 @@ impl Default for OverloadSweepConfig {
             // saturated above it — marks are an overload signal, not a
             // burst detector.
             mark_sojourn: SimDuration::from_millis(30),
-            rate_adapt: RateAdaptConfig::default(),
             recovery: RecoveryConfig {
                 subscribe_refresh: Some(SimDuration::from_millis(200)),
                 ..RecoveryConfig::default()
@@ -403,7 +398,10 @@ pub fn run_with(
                 warmup: cfg.warmup,
                 recovery: Some(cfg.recovery.clone()),
                 overload: cfg.engine_config(regime),
-                rate_adapt: (regime == QueueRegime::Aqm).then(|| cfg.rate_adapt.clone()),
+                // Client-side rate adaptation rides with the aqm regime on
+                // systems whose clients push (G-COPSS, IP; the NDN
+                // baseline's consumers pull and need no pacer).
+                rate_adapt: (regime == QueueRegime::Aqm).then_some(RateAdaptConfig),
                 ..GcopssConfig::default()
             };
             let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
@@ -428,7 +426,7 @@ pub fn run_with(
                 warmup: cfg.warmup,
                 recovery: Some(cfg.recovery.clone()),
                 overload: cfg.engine_config(QueueRegime::Aqm),
-                rate_adapt: Some(cfg.rate_adapt.clone()),
+                rate_adapt: Some(RateAdaptConfig),
                 ..IpConfig::default()
             };
             let built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)

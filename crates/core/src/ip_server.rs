@@ -10,7 +10,8 @@ use gcopss_names::Name;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration};
 
 use crate::client::{ClientRecovery, RatePacer, TraceCursor};
-use crate::{GPacket, GameWorld, IpPacket, IpUpdate, RateAdaptConfig, RecoveryConfig, SimParams};
+use crate::params::{RECOVERY_BACKOFF_BASE, RECOVERY_BACKOFF_CAP};
+use crate::{GPacket, GameWorld, IpPacket, IpUpdate, RecoveryConfig, SimParams};
 
 /// Timer key of trace-driven publishing (IP client).
 const TIMER_PUBLISH: u64 = 0;
@@ -216,8 +217,8 @@ impl IpClient {
     /// cadence multiplicatively (capped), clean deliveries decay it, and
     /// in-gap publishes are shed at the source (`"rate-limited"`).
     #[must_use]
-    pub fn with_rate_adapt(mut self, cfg: RateAdaptConfig) -> Self {
-        self.pacer = Some(RatePacer::new(cfg));
+    pub fn with_rate_adapt(mut self) -> Self {
+        self.pacer = Some(RatePacer::default());
         self
     }
 
@@ -265,11 +266,11 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             let silent = now.saturating_duration_since(r.last_activity) >= r.cfg.watchdog;
             let next = if silent {
                 let delay = r.backoff + r.jitter();
-                r.backoff = (r.backoff + r.backoff).min(r.cfg.backoff_cap);
+                r.backoff = (r.backoff + r.backoff).min(RECOVERY_BACKOFF_CAP);
                 self.hello_servers(ctx);
                 delay
             } else {
-                r.backoff = r.cfg.backoff_base;
+                r.backoff = RECOVERY_BACKOFF_BASE;
                 r.cfg.watchdog + r.jitter()
             };
             ctx.schedule(next, TIMER_WATCHDOG);
@@ -333,7 +334,7 @@ impl NodeBehavior<GPacket, GameWorld> for IpClient {
             FaultNotice::LinkUp { .. } | FaultNotice::Restarted => {
                 let now = ctx.now();
                 let r = self.recovery.as_mut().expect("recovery enabled");
-                r.backoff = r.cfg.backoff_base;
+                r.backoff = RECOVERY_BACKOFF_BASE;
                 r.last_activity = now;
                 self.hello_servers(ctx);
                 if notice == FaultNotice::Restarted {

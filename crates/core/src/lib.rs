@@ -34,10 +34,8 @@ mod world;
 
 pub use client::{CatchUpConfig, DedupWindow, GamePlayerClient, TraceCursor};
 pub use packet::{payload_of, GPacket, IpPacket, IpUpdate};
-pub use params::{
-    AdaptiveCacheConfig, AdaptiveRpConfig, RateAdaptConfig, RecoveryConfig, SimParams,
-};
-pub use router::{FaceMap, GCopssRouter, RpSelection, SplitConfig};
+pub use params::{RateAdaptConfig, RecoveryConfig, SimParams};
+pub use router::{FaceMap, GCopssRouter};
 pub use world::{
     CatchUpAudit, CatchUpLedger, CatchUpMode, CatchUpRecord, ConvergenceRecord, GameWorld,
     MetricsMode, SplitRecord, UpdateMetrics,

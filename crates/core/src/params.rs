@@ -50,19 +50,20 @@ pub struct SimParams {
     /// (prevents split storms while the first split takes effect).
     pub rp_split_cooldown_packets: u64,
     /// Stream-driven RP balancing (§IV-B closed over live telemetry):
-    /// `Some` makes RPs trigger splits from observed queue-depth EWMAs and
-    /// served-load skew instead of the fixed
-    /// [`SimParams::rp_split_queue_threshold`]. Strictly opt-in — `None`
-    /// is byte-identical to builds that predate adaptive control; enabling
-    /// it additionally requires the engine's stream hub (a non-vacuous
-    /// `StreamConfig`), without which the trigger never evaluates.
-    pub rp_adaptive: Option<AdaptiveRpConfig>,
-    /// Stream-driven per-prefix caching: `Some` makes brokers promote the
+    /// `true` makes RPs trigger splits from observed queue-depth EWMAs and
+    /// served-load skew (the trigger's constants are in the router)
+    /// instead of the fixed [`SimParams::rp_split_queue_threshold`].
+    /// Strictly opt-in — `false` is byte-identical to builds that predate
+    /// adaptive control; enabling it additionally requires the engine's
+    /// stream hub (a non-vacuous `StreamConfig`), without which the
+    /// trigger never evaluates.
+    pub rp_adaptive: bool,
+    /// Stream-driven per-prefix caching: `true` makes brokers promote the
     /// freshness class of snapshot Data for content descriptors the live
     /// popularity sketch reports as hot, so NDN content stores along the
     /// path absorb flash crowds. Strictly opt-in like
     /// [`SimParams::rp_adaptive`].
-    pub cache_adaptive: Option<AdaptiveCacheConfig>,
+    pub cache_adaptive: bool,
 }
 
 impl Default for SimParams {
@@ -82,103 +83,25 @@ impl Default for SimParams {
             rp_split_queue_threshold: None,
             rp_window: 2_000,
             rp_split_cooldown_packets: 5_000,
-            rp_adaptive: None,
-            cache_adaptive: None,
+            rp_adaptive: false,
+            cache_adaptive: false,
         }
     }
 }
 
-/// Tunables of stream-driven RP auto-balancing.
-///
-/// An RP evaluates the trigger at most once per stream roll: it fires when
-/// its own service-queue EWMA has stayed at or above `min_queue_ewma` *and*
-/// its windowed served rate at or above `skew_num/skew_den` times the mean
-/// over all RP nodes (skew is waived while it is the only RP) for `sustain`
-/// consecutive rolls. After a triggered split the trigger disarms and
-/// re-arms either once the queue EWMA falls below
-/// `release_num/release_den` of the floor (load resolved — the anti-flap
-/// half of the hysteresis) or after `escalate_rolls` further rolls of
-/// unbroken pressure (load *not* resolved — one move was not enough, keep
-/// shedding). Triggered splits use their own `cooldown_packets` floor
-/// instead of [`SimParams::rp_split_cooldown_packets`]: the stream trigger
-/// paces itself through the hysteresis, so the packet cooldown only needs
-/// to guarantee the traffic window has enough fresh samples to plan a
-/// meaningful split. All comparisons are integer Q8 arithmetic; no PRNG
-/// draws.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptiveRpConfig {
-    /// Queue-depth EWMA floor (whole packets) below which the trigger
-    /// never fires.
-    pub min_queue_ewma: u64,
-    /// Skew ratio numerator: fire when `own_rate ≥ mean_rate ·
-    /// skew_num/skew_den` across RP nodes.
-    pub skew_num: u64,
-    /// Skew ratio denominator.
-    pub skew_den: u64,
-    /// Consecutive rolls the trigger condition must hold.
-    pub sustain: u32,
-    /// Re-arm watermark numerator: after a split, re-arm once the queue
-    /// EWMA drops below `min_queue_ewma · release_num/release_den`.
-    pub release_num: u64,
-    /// Re-arm watermark denominator.
-    pub release_den: u64,
-    /// Escalation: while disarmed, this many consecutive rolls of
-    /// unbroken pressure re-arm the trigger anyway — sustained overload
-    /// means the last move was not enough.
-    pub escalate_rolls: u32,
-    /// Minimum packets served between stream-triggered splits (keeps the
-    /// traffic window meaningful; the hysteresis does the pacing).
-    pub cooldown_packets: u64,
-}
+/// Initial client re-Subscribe backoff after a watchdog firing
+/// ([`RecoveryConfig`]).
+pub(crate) const RECOVERY_BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
 
-impl Default for AdaptiveRpConfig {
-    fn default() -> Self {
-        Self {
-            min_queue_ewma: 8,
-            skew_num: 3,
-            skew_den: 2,
-            sustain: 2,
-            release_num: 1,
-            release_den: 2,
-            escalate_rolls: 8,
-            cooldown_packets: 1_000,
-        }
-    }
-}
+/// Cap on the exponential client re-Subscribe backoff.
+pub(crate) const RECOVERY_BACKOFF_CAP: SimDuration = SimDuration::from_millis(8_000);
 
-/// Tunables of stream-driven per-prefix cache/freshness promotion.
-///
-/// Brokers feed every query-response serve into the `"qr-pop"` popularity
-/// sketch keyed by content descriptor. A descriptor becomes *hot* once the
-/// sketch has seen at least `min_window` total recent mass and the
-/// descriptor's share of it reaches `hot_num/hot_den`; it cools once its
-/// share falls below half that (enter/exit hysteresis, so the class
-/// doesn't flap at the boundary). Data published under a hot descriptor
-/// carries `freshness · hot_freshness_mul`, letting NDN content stores
-/// along the path serve the flash crowd instead of the broker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptiveCacheConfig {
-    /// Hot-share threshold numerator.
-    pub hot_num: u64,
-    /// Hot-share threshold denominator.
-    pub hot_den: u64,
-    /// Minimum recent sketch mass before anything can be classified hot
-    /// (avoids promoting the first lonely request).
-    pub min_window: u64,
-    /// Freshness multiplier applied to Data under hot descriptors.
-    pub hot_freshness_mul: u32,
-}
+/// Maximum seeded jitter added to each watchdog or refresh re-arm
+/// (decorrelates the re-Subscribe storm after a repair).
+pub(crate) const RECOVERY_JITTER: SimDuration = SimDuration::from_millis(100);
 
-impl Default for AdaptiveCacheConfig {
-    fn default() -> Self {
-        Self {
-            hot_num: 1,
-            hot_den: 4,
-            min_window: 32,
-            hot_freshness_mul: 100,
-        }
-    }
-}
+/// Period of the router-side expired-PIT sweep.
+pub(crate) const PIT_SWEEP_PERIOD: SimDuration = SimDuration::from_millis(1_000);
 
 /// Tunables of the failure-recovery half of the protocol stack.
 ///
@@ -187,23 +110,14 @@ impl Default for AdaptiveCacheConfig {
 /// simulation is byte-identical to builds that predate fault injection.
 /// When enabled, clients arm silence watchdogs (so runs must use
 /// [`gcopss_sim::Simulator::run_until`] — the watchdogs re-arm forever),
-/// routers periodically sweep expired PIT entries, and the NDN baseline
-/// client retries stale Interests indefinitely.
+/// routers sweep expired PIT entries every second, and the
+/// NDN baseline client retries stale Interests indefinitely.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     /// Client-side silence threshold: if nothing was delivered for this
     /// long, the client assumes its subscription state was lost upstream
-    /// and re-Subscribes.
+    /// and re-Subscribes, backing off exponentially from 500 ms up to 8 s.
     pub watchdog: SimDuration,
-    /// Initial re-Subscribe backoff after a watchdog firing.
-    pub backoff_base: SimDuration,
-    /// Cap on the exponential re-Subscribe backoff.
-    pub backoff_cap: SimDuration,
-    /// Maximum seeded jitter added to each watchdog re-arm (decorrelates
-    /// the re-Subscribe storm after a repair).
-    pub jitter: SimDuration,
-    /// Period of the router-side expired-PIT sweep.
-    pub pit_sweep: SimDuration,
     /// Periodic soft-state Subscribe refresh (COPSS only): every interval
     /// (plus jitter) a client re-expresses its subscriptions and a router
     /// re-expresses its upstream joins (one batched Subscribe per RP tree,
@@ -221,44 +135,26 @@ impl Default for RecoveryConfig {
     fn default() -> Self {
         Self {
             watchdog: SimDuration::from_millis(2_000),
-            backoff_base: SimDuration::from_millis(500),
-            backoff_cap: SimDuration::from_millis(8_000),
-            jitter: SimDuration::from_millis(100),
-            pit_sweep: SimDuration::from_millis(1_000),
             subscribe_refresh: None,
             seed: 0x9e37_79b9_7f4a_7c15,
         }
     }
 }
 
-/// Tunables of client-side congestion-feedback rate adaptation.
+/// Client-side congestion-feedback rate adaptation.
 ///
 /// Like [`RecoveryConfig`], this is strictly opt-in: scenario configs carry
 /// an `Option<RateAdaptConfig>` defaulting to `None`, and with `None` the
 /// simulation is byte-identical to builds that predate overload control.
 /// When enabled, a client that receives a congestion-marked delivery (see
 /// `Ctx::congestion_marked`) multiplicatively stretches the minimum gap
-/// between its own publishes — doubling per marked delivery, up to `cap` —
-/// and halves the gap again on every clean delivery. Publishes attempted
-/// inside the gap are shed at the source (`"rate-limited"`): under
-/// overload, sending a stale position later is worse than not sending it.
-#[derive(Debug, Clone)]
-pub struct RateAdaptConfig {
-    /// The gap installed by the first marked delivery (and the floor below
-    /// which decay switches the pacer back off).
-    pub min_gap: SimDuration,
-    /// Cap on the multiplicatively-grown publish gap.
-    pub cap: SimDuration,
-}
-
-impl Default for RateAdaptConfig {
-    fn default() -> Self {
-        Self {
-            min_gap: SimDuration::from_millis(20),
-            cap: SimDuration::from_millis(500),
-        }
-    }
-}
+/// between its own publishes — from 20 ms, doubling per marked delivery,
+/// up to 500 ms — and halves the gap again on every clean delivery.
+/// Publishes attempted inside the gap are shed at the source
+/// (`"rate-limited"`): under overload, sending a stale position later is
+/// worse than not sending it.
+#[derive(Debug, Clone, Default)]
+pub struct RateAdaptConfig;
 
 impl SimParams {
     /// The testbed microbenchmark calibration (§V-A): the same machines,
@@ -281,22 +177,6 @@ impl SimParams {
     #[must_use]
     pub fn with_auto_balancing(mut self, queue_threshold: usize) -> Self {
         self.rp_split_queue_threshold = Some(queue_threshold);
-        self
-    }
-
-    /// Enables stream-driven adaptive RP balancing (requires the engine's
-    /// stream hub to be installed to have any effect).
-    #[must_use]
-    pub fn with_adaptive_rp(mut self, cfg: AdaptiveRpConfig) -> Self {
-        self.rp_adaptive = Some(cfg);
-        self
-    }
-
-    /// Enables stream-driven per-prefix cache/freshness promotion at
-    /// brokers (requires the engine's stream hub to have any effect).
-    #[must_use]
-    pub fn with_adaptive_cache(mut self, cfg: AdaptiveCacheConfig) -> Self {
-        self.cache_adaptive = Some(cfg);
         self
     }
 }
@@ -328,14 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_configs_default_off() {
+    fn adaptive_control_defaults_off() {
         let p = SimParams::default();
-        assert!(p.rp_adaptive.is_none());
-        assert!(p.cache_adaptive.is_none());
-        let p = p
-            .with_adaptive_rp(AdaptiveRpConfig::default())
-            .with_adaptive_cache(AdaptiveCacheConfig::default());
-        assert_eq!(p.rp_adaptive, Some(AdaptiveRpConfig::default()));
-        assert_eq!(p.cache_adaptive, Some(AdaptiveCacheConfig::default()));
+        assert!(!p.rp_adaptive);
+        assert!(!p.cache_adaptive);
     }
 }

@@ -11,6 +11,7 @@ use gcopss_ndn::{FaceId, NdnAction, NdnConfig, NdnEngine};
 use gcopss_sim::prof;
 use gcopss_sim::{Ctx, FaultNotice, NodeBehavior, NodeId, SimDuration, SimTime, Topology};
 
+use crate::params::{PIT_SWEEP_PERIOD, RECOVERY_JITTER};
 use crate::{GPacket, GameWorld, RecoveryConfig, SimParams, SplitRecord};
 
 /// Maps between the simulator's neighbor [`NodeId`]s and the engines'
@@ -69,38 +70,36 @@ impl FaceMap {
     }
 }
 
-/// How a new RP's node is chosen when a split fires. The paper uses a
-/// random selection and names network-coordinate systems (Vivaldi) as the
-/// intended improvement; these strategies are deterministic stand-ins
-/// spanning that design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RpSelection {
-    /// Rotate through the candidate list (the paper's evaluation setting:
-    /// load spread without placement intelligence).
-    #[default]
-    Rotation,
-    /// Pick the candidate closest (by routing delay) to the overloaded RP —
-    /// minimizes handoff/transition cost.
-    ClosestToSelf,
-    /// Pick the candidate farthest (by routing delay) from every existing
-    /// RP — a network-coordinate-style spread that avoids co-locating hot
-    /// cores.
-    Spread,
-}
+/// Grace period during which the old RP keeps multicasting moved CDs down
+/// its existing tree while the new tree forms (the paper's "R continues to
+/// act as the core till the complete network is aware of the new RP").
+const SPLIT_GRACE: SimDuration = SimDuration::from_secs(2);
 
-/// Configuration for automatic RP splitting on this router.
-#[derive(Debug, Clone, Default)]
-pub struct SplitConfig {
-    /// Candidate nodes for newly created RPs.
-    pub candidates: Vec<NodeId>,
-    /// Placement strategy over the candidates.
-    pub strategy: RpSelection,
-    /// Grace period during which the old RP keeps multicasting moved CDs
-    /// down its existing tree while the new tree forms (the paper's
-    /// "R continues to act as the core till the complete network is aware
-    /// of the new RP").
-    pub grace: SimDuration,
-}
+/// Adaptive RP trigger ([`SimParams::rp_adaptive`]): the queue-depth EWMA
+/// floor, in whole packets, below which the trigger never fires.
+const ADAPTIVE_MIN_QUEUE_EWMA: u64 = 8;
+
+/// Skew ratio `(num, den)`: the trigger fires only while this RP node's
+/// windowed served rate is at least `num/den` times the mean over all RP
+/// nodes.
+const ADAPTIVE_SKEW: (u64, u64) = (3, 2);
+
+/// Consecutive stream rolls the trigger condition must hold.
+const ADAPTIVE_SUSTAIN: u32 = 2;
+
+/// Re-arm watermark `(num, den)`: after a triggered split, the trigger
+/// re-arms once the queue EWMA drops below this fraction of the floor.
+const ADAPTIVE_RELEASE: (u64, u64) = (1, 2);
+
+/// Escalation: while disarmed, this many consecutive rolls of unbroken
+/// pressure re-arm the trigger anyway (one move was not enough).
+const ADAPTIVE_ESCALATE_ROLLS: u32 = 8;
+
+/// Minimum packets served between stream-triggered splits: enough fresh
+/// samples in the traffic window to plan a meaningful split (about 1 s of
+/// a saturated RP's 3.3 ms service). The hysteresis, not this floor, does
+/// the pacing.
+const ADAPTIVE_COOLDOWN_PACKETS: u64 = 300;
 
 /// Timer key used to flush deferred prunes after the split grace period.
 const PRUNE_TIMER: u64 = 0x00de_fe55;
@@ -135,7 +134,8 @@ pub struct GCopssRouter {
     /// Traffic window for split planning (only RPs record into it).
     traffic: TrafficWindow,
     served_since_split: u64,
-    split: SplitConfig,
+    /// Candidate nodes for newly created RPs, tried in rotation.
+    candidates: Vec<NodeId>,
     next_candidate: usize,
     /// Flood deduplication for `RpUpdate`s.
     seen_updates: HashSet<u64>,
@@ -161,12 +161,12 @@ pub struct GCopssRouter {
     /// `on_start`; `None` until then or when the refresh is disabled).
     refresh_rng: Option<SmallRng>,
     /// Hysteresis state of stream-driven RP balancing; inert unless
-    /// `SimParams::rp_adaptive` is set *and* the stream hub is enabled.
+    /// `SimParams::rp_adaptive` is on *and* the stream hub is enabled.
     adaptive: AdaptiveTrigger,
 }
 
 /// Per-router state of the adaptive split trigger (see
-/// [`crate::AdaptiveRpConfig`]): once-per-roll evaluation, the sustain
+/// [`SimParams::rp_adaptive`]): once-per-roll evaluation, the sustain
 /// streak, and the armed/released hysteresis latch.
 #[derive(Debug, Clone)]
 struct AdaptiveTrigger {
@@ -212,6 +212,8 @@ impl GCopssRouter {
     /// `copss` arrives preconfigured with the initial RP table; `fib_routes`
     /// seeds the NDN FIB (notably `/rp/<id>` prefixes toward each initial
     /// RP and any application prefixes such as `/snapshot`).
+    /// `candidates` lists the nodes a split may place a new RP on, in
+    /// rotation order; empty disables splitting.
     #[must_use]
     pub fn new(
         params: SimParams,
@@ -219,7 +221,7 @@ impl GCopssRouter {
         copss: CopssEngine,
         fib_routes: Vec<(Name, FaceId)>,
         local_rps: BTreeSet<RpId>,
-        split: SplitConfig,
+        candidates: Vec<NodeId>,
     ) -> Self {
         let mut ndn = NdnEngine::new(NdnConfig::default());
         for (prefix, face) in fib_routes {
@@ -237,7 +239,7 @@ impl GCopssRouter {
             local_rps,
             traffic: TrafficWindow::new(window.max(1)),
             served_since_split,
-            split,
+            candidates,
             next_candidate: 0,
             seen_updates: HashSet::new(),
             pending_joins: Vec::new(),
@@ -317,11 +319,9 @@ impl GCopssRouter {
     /// Seeded jitter added to each join-refresh re-arm (decorrelates the
     /// per-router refresh phases). Zero when the refresh is disabled.
     fn refresh_jitter(&mut self) -> SimDuration {
-        let max = self.recovery.as_ref().map_or(0, |c| c.jitter.as_nanos());
-        match (&mut self.refresh_rng, max) {
-            (Some(rng), 1..) => SimDuration::from_nanos(rng.gen_range(0..=max)),
-            _ => SimDuration::ZERO,
-        }
+        self.refresh_rng.as_mut().map_or(SimDuration::ZERO, |rng| {
+            SimDuration::from_nanos(rng.gen_range(0..=RECOVERY_JITTER.as_nanos()))
+        })
     }
 
     fn send_joins(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, joins: Vec<JoinRequest>) {
@@ -470,16 +470,14 @@ impl GCopssRouter {
     /// queue threshold, fire on *observed* sustained pressure — the node's
     /// queue-depth EWMA at or above the configured floor and its windowed
     /// served rate skewed above the mean over all RP nodes (skew is waived
-    /// while this is the only RP) for `sustain` consecutive stream rolls.
-    /// After a triggered split the latch disarms until the queue EWMA
-    /// drains below the release watermark — the hysteresis that keeps the
-    /// balancer from flapping. Evaluated at most once per stream roll;
-    /// inert without [`crate::AdaptiveRpConfig`] or without the stream hub.
+    /// while this is the only RP) for [`ADAPTIVE_SUSTAIN`] consecutive
+    /// stream rolls. After a triggered split the latch disarms until the
+    /// queue EWMA drains below the release watermark — the hysteresis that
+    /// keeps the balancer from flapping. Evaluated at most once per stream
+    /// roll; inert without [`SimParams::rp_adaptive`] or without the
+    /// stream hub.
     fn maybe_adaptive_split(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>) {
-        let Some(cfg) = self.params.rp_adaptive.clone() else {
-            return;
-        };
-        if !ctx.streams_enabled() {
+        if !self.params.rp_adaptive || !ctx.streams_enabled() {
             return;
         }
         let roll = ctx.stream_rolls();
@@ -489,19 +487,20 @@ impl GCopssRouter {
         self.adaptive.last_roll = roll;
         let me = ctx.node();
         let q8 = ctx.stream_queue_ewma_q8(me);
-        let floor_q8 = cfg.min_queue_ewma << 8;
+        let floor_q8 = ADAPTIVE_MIN_QUEUE_EWMA << 8;
         let pressure = q8 >= floor_q8;
         if !self.adaptive.armed {
             // Released: re-arm when the queue drains below the watermark
             // (the move worked) — or when pressure holds unbroken for the
             // escalation span (it did not; one move was not enough).
-            if q8 * cfg.release_den < floor_q8 * cfg.release_num {
+            let (release_num, release_den) = ADAPTIVE_RELEASE;
+            if q8 * release_den < floor_q8 * release_num {
                 self.adaptive.armed = true;
                 self.adaptive.streak = 0;
                 self.adaptive.hot_rolls = 0;
             } else if pressure {
                 self.adaptive.hot_rolls += 1;
-                if self.adaptive.hot_rolls >= cfg.escalate_rolls {
+                if self.adaptive.hot_rolls >= ADAPTIVE_ESCALATE_ROLLS {
                     self.adaptive.armed = true;
                     self.adaptive.streak = 0;
                     self.adaptive.hot_rolls = 0;
@@ -523,7 +522,8 @@ impl GCopssRouter {
                     .iter()
                     .map(|&n| ctx.stream_rate_of("rp-served", NodeId(n)))
                     .sum();
-                mine * cfg.skew_den * rp_nodes.len() as u64 >= sum * cfg.skew_num
+                let (skew_num, skew_den) = ADAPTIVE_SKEW;
+                mine * skew_den * rp_nodes.len() as u64 >= sum * skew_num
             }
         };
         if !(pressure && skew) {
@@ -531,10 +531,10 @@ impl GCopssRouter {
             return;
         }
         self.adaptive.streak += 1;
-        if self.adaptive.streak < cfg.sustain {
+        if self.adaptive.streak < ADAPTIVE_SUSTAIN {
             return;
         }
-        if self.try_split(ctx, cfg.cooldown_packets) {
+        if self.try_split(ctx, ADAPTIVE_COOLDOWN_PACKETS) {
             ctx.counter("rp-move-triggered", 1);
             ctx.world().bump("rp-move-triggered");
             self.adaptive.armed = false;
@@ -549,7 +549,7 @@ impl GCopssRouter {
     /// candidate node may be free, or the traffic window may have nothing
     /// eligible to move).
     fn try_split(&mut self, ctx: &mut Ctx<'_, GPacket, GameWorld>, cooldown: u64) -> bool {
-        if self.served_since_split < cooldown || self.split.candidates.is_empty() {
+        if self.served_since_split < cooldown || self.candidates.is_empty() {
             return false;
         }
         // Served prefixes of every RP hosted here (splits move load off
@@ -577,8 +577,8 @@ impl GCopssRouter {
         let Some(plan) = self.traffic.plan_split_where(&served, 0.5, eligible) else {
             return false;
         };
-        // Pick the new RP node per the configured strategy, skipping self
-        // and nodes already hosting an RP.
+        // Pick the next candidate in rotation, skipping self and nodes
+        // already hosting an RP.
         let me = ctx.node();
         let taken: Vec<NodeId> = ctx
             .world()
@@ -586,43 +586,15 @@ impl GCopssRouter {
             .values()
             .map(|&n| NodeId(n))
             .collect();
-        let free = |c: &NodeId| *c != me && !taken.contains(c);
-        let chosen = match self.split.strategy {
-            RpSelection::Rotation => {
-                let mut pick = None;
-                for _ in 0..self.split.candidates.len() {
-                    let c =
-                        self.split.candidates[self.next_candidate % self.split.candidates.len()];
-                    self.next_candidate += 1;
-                    if free(&c) {
-                        pick = Some(c);
-                        break;
-                    }
-                }
-                pick
+        let mut chosen = None;
+        for _ in 0..self.candidates.len() {
+            let c = self.candidates[self.next_candidate % self.candidates.len()];
+            self.next_candidate += 1;
+            if c != me && !taken.contains(&c) {
+                chosen = Some(c);
+                break;
             }
-            RpSelection::ClosestToSelf => self
-                .split
-                .candidates
-                .iter()
-                .copied()
-                .filter(free)
-                .min_by_key(|c| ctx.routing().distance(me, *c)),
-            RpSelection::Spread => self
-                .split
-                .candidates
-                .iter()
-                .copied()
-                .filter(free)
-                .max_by_key(|c| {
-                    taken
-                        .iter()
-                        .chain(std::iter::once(&me))
-                        .filter_map(|r| ctx.routing().distance(*r, *c))
-                        .min()
-                        .unwrap_or(SimDuration::ZERO)
-                }),
-        };
+        }
         let Some(new_node) = chosen else { return false };
         let new_rp = RpId(ctx.world().allocate_rp_id(new_node.0));
         let old_rp = *self.local_rps.iter().next().expect("RP router");
@@ -639,7 +611,7 @@ impl GCopssRouter {
             let empty_before = self.deferred_prunes.is_empty();
             self.deferred_prunes.extend(prunes);
             if empty_before {
-                ctx.schedule(self.split.grace, PRUNE_TIMER);
+                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
             }
         }
 
@@ -663,7 +635,7 @@ impl GCopssRouter {
 
         // Old-tree grace: keep multicasting the moved CDs ourselves until
         // the new tree has formed.
-        let until = ctx.now() + self.split.grace;
+        let until = ctx.now() + SPLIT_GRACE;
         for cd in &plan.moved {
             self.legacy.push((cd.clone(), until));
         }
@@ -776,7 +748,7 @@ impl GCopssRouter {
             let empty_before = self.deferred_prunes.is_empty();
             self.deferred_prunes.extend(prunes);
             if empty_before {
-                ctx.schedule(self.split.grace, PRUNE_TIMER);
+                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
             }
         }
         // A route to the new RP may unblock pending joins.
@@ -812,7 +784,7 @@ impl GCopssRouter {
         // again before serving a full cooldown's worth of traffic.
         self.local_rps.insert(new_rp);
         self.served_since_split = 0;
-        let until = ctx.now() + self.split.grace;
+        let until = ctx.now() + SPLIT_GRACE;
         for cd in &cds {
             self.tunnel_back.push((cd.clone(), old_rp, until));
         }
@@ -822,7 +794,7 @@ impl GCopssRouter {
             let empty_before = self.deferred_prunes.is_empty();
             self.deferred_prunes.extend(prunes);
             if empty_before {
-                ctx.schedule(self.split.grace, PRUNE_TIMER);
+                ctx.schedule(SPLIT_GRACE, PRUNE_TIMER);
             }
         }
         // Stage 3: announce network-wide (journaled so partitioned routers
@@ -1021,9 +993,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 .collect();
             self.send_prunes(ctx, still_stale);
         } else if key == PIT_SWEEP_TIMER {
-            let Some(period) = self.recovery.as_ref().map(|c| c.pit_sweep) else {
-                return;
-            };
+            // Armed only in recovery mode (see the Interest path below).
             let swept = self.ndn.pit_mut().expire(ctx.now().as_nanos());
             ctx.drop_entries(crate::drops::PIT_EXPIRED, swept);
             // Re-arm only while entries remain, so fault-free runs still
@@ -1031,7 +1001,7 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
             if self.ndn.pit().is_empty() {
                 self.sweep_armed = false;
             } else {
-                ctx.schedule(period, PIT_SWEEP_TIMER);
+                ctx.schedule(PIT_SWEEP_PERIOD, PIT_SWEEP_TIMER);
             }
         }
     }
@@ -1227,11 +1197,9 @@ impl NodeBehavior<GPacket, GameWorld> for GCopssRouter {
                 // breadcrumbs exist, so orphaned entries (satellite of the
                 // fault model — Data lost on a dead link never consumes
                 // them) are reclaimed and counted.
-                if let Some(cfg) = &self.recovery {
-                    if !self.sweep_armed && !self.ndn.pit().is_empty() {
-                        self.sweep_armed = true;
-                        ctx.schedule(cfg.pit_sweep, PIT_SWEEP_TIMER);
-                    }
+                if self.recovery.is_some() && !self.sweep_armed && !self.ndn.pit().is_empty() {
+                    self.sweep_armed = true;
+                    ctx.schedule(PIT_SWEEP_PERIOD, PIT_SWEEP_TIMER);
                 }
             }
             GPacket::Data(d) => {

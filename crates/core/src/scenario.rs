@@ -18,7 +18,7 @@ use crate::client::{CatchUpConfig, GamePlayerClient, TraceCursor};
 use crate::hybrid::HybridEdgeRouter;
 use crate::ip_server::{partition_cds_to_servers, IpClient, IpServer, Roster};
 use crate::ndn_baseline::{player_prefix, NdnClientConfig, NdnPlayerClient};
-use crate::router::{FaceMap, GCopssRouter, SplitConfig};
+use crate::router::{FaceMap, GCopssRouter};
 use crate::{GPacket, GameWorld, MetricsMode, RateAdaptConfig, RecoveryConfig, SimParams};
 
 /// Builds the behavior of one player host given its id, its edge router and
@@ -177,18 +177,11 @@ pub struct GcopssConfig {
     pub rp_count: usize,
     /// Time before the first trace event (lets subscriptions settle).
     pub warmup: SimDuration,
-    /// Grace period for old-tree multicast during RP splits.
-    pub split_grace: SimDuration,
-    /// Extra CD prefixes anchored at RP 0 (e.g. `/snapcast` for movement
-    /// scenarios).
-    pub extra_rp_prefixes: Vec<Name>,
     /// Additional RPs hosted at explicit router nodes, each serving the
     /// given prefixes — e.g. a dedicated snapshot-stream RP co-located
     /// with each broker so bulk cyclic multicast never shares a core with
     /// the latency-critical game RPs.
     pub extra_rps: Vec<(Vec<Name>, NodeId)>,
-    /// Placement strategy for automatically created RPs.
-    pub rp_selection: crate::RpSelection,
     /// Failure-recovery tunables. `None` (the default) leaves the
     /// simulation byte-identical to pre-fault-injection builds; `Some`
     /// arms client watchdogs and router PIT sweeps, and requires running
@@ -219,10 +212,7 @@ impl Default for GcopssConfig {
             delivery_log: false,
             rp_count: 3,
             warmup: SimDuration::from_secs(2),
-            split_grace: SimDuration::from_secs(2),
-            extra_rp_prefixes: Vec::new(),
             extra_rps: Vec::new(),
-            rp_selection: crate::RpSelection::default(),
             recovery: None,
             overload: None,
             rate_adapt: None,
@@ -359,15 +349,8 @@ impl<'a> ScenarioSpec<'a> {
         self.protocol(Protocol::NdnBaseline(cfg))
     }
 
-    /// Attaches one extra host (broker, monitor, …). G-COPSS only; other
-    /// protocols ignore extra hosts.
-    #[must_use]
-    pub fn extra_host(mut self, host: ExtraHost) -> Self {
-        self.extra_hosts.push(host);
-        self
-    }
-
-    /// Attaches several extra hosts, in order. G-COPSS only.
+    /// Attaches extra hosts (brokers, monitors, …), in order. G-COPSS
+    /// only; other protocols ignore extra hosts.
     #[must_use]
     pub fn extra_hosts(mut self, hosts: Vec<ExtraHost>) -> Self {
         self.extra_hosts.extend(hosts);
@@ -534,15 +517,15 @@ fn default_gcopss_factory<'a>(
 ) -> ClientFactory<'a> {
     let map_arc = Arc::clone(map);
     let recovery = cfg.recovery.clone();
-    let rate_adapt = cfg.rate_adapt.clone();
+    let rate_adapt = cfg.rate_adapt.is_some();
     Box::new(move |p, edge, cursor| {
         let mut client =
             GamePlayerClient::new(p, edge, population.area_of(p), Arc::clone(&map_arc), cursor);
         if let Some(rc) = &recovery {
             client = client.with_recovery(rc.clone());
         }
-        if let Some(ra) = &rate_adapt {
-            client = client.with_rate_adapt(ra.clone());
+        if rate_adapt {
+            client = client.with_rate_adapt();
         }
         if let Some(cu) = &catch_up {
             client = client.with_catch_up(cu.clone());
@@ -613,11 +596,6 @@ fn assemble_gcopss(
         }
         rp_nodes.insert(rp, bn.rp_pool[i % bn.rp_pool.len()]);
     }
-    for prefix in &cfg.extra_rp_prefixes {
-        rp_table
-            .assign(prefix.clone(), RpId(0))
-            .expect("extra prefixes must not overlap the map namespace");
-    }
     for (prefixes, node) in &cfg.extra_rps {
         let rp = RpId(rp_nodes.len() as u32);
         for prefix in prefixes {
@@ -671,13 +649,14 @@ fn assemble_gcopss(
                 }
             }
         }
-        let split = SplitConfig {
-            candidates: bn.rp_pool.clone(),
-            strategy: cfg.rp_selection,
-            grace: cfg.split_grace,
-        };
-        let mut router =
-            GCopssRouter::new(cfg.params.clone(), faces, copss, fib_routes, local_rps, split);
+        let mut router = GCopssRouter::new(
+            cfg.params.clone(),
+            faces,
+            copss,
+            fib_routes,
+            local_rps,
+            bn.rp_pool.clone(),
+        );
         if let Some(rc) = &cfg.recovery {
             router = router.with_recovery(rc.clone());
         }
@@ -803,7 +782,7 @@ fn assemble_ip_server(
             CopssEngine::new(),
             Vec::new(),
             std::collections::BTreeSet::new(),
-            SplitConfig::default(),
+            Vec::new(),
         );
         if let Some(rc) = &cfg.recovery {
             router = router.with_recovery(rc.clone());
@@ -834,8 +813,8 @@ fn assemble_ip_server(
         if let Some(rc) = &cfg.recovery {
             client = client.with_recovery(rc.clone());
         }
-        if let Some(ra) = &cfg.rate_adapt {
-            client = client.with_rate_adapt(ra.clone());
+        if cfg.rate_adapt.is_some() {
+            client = client.with_rate_adapt();
         }
         sim.set_behavior(node, Box::new(client));
     }
@@ -928,7 +907,7 @@ fn assemble_hybrid(
                     CopssEngine::new(),
                     Vec::new(),
                     std::collections::BTreeSet::new(),
-                    SplitConfig::default(),
+                    Vec::new(),
                 )),
             );
         }
@@ -944,8 +923,8 @@ fn assemble_hybrid(
         let cursor = TraceCursor::for_player(Arc::clone(trace), p, cfg.warmup);
         let mut client =
             GamePlayerClient::new(p, edge, population.area_of(p), Arc::clone(map), cursor);
-        if let Some(ra) = &cfg.rate_adapt {
-            client = client.with_rate_adapt(ra.clone());
+        if cfg.rate_adapt.is_some() {
+            client = client.with_rate_adapt();
         }
         sim.set_behavior(node, Box::new(client));
     }
@@ -1040,7 +1019,7 @@ fn assemble_ndn_baseline(
             CopssEngine::new(),
             fib_routes,
             std::collections::BTreeSet::new(),
-            SplitConfig::default(),
+            Vec::new(),
         );
         if let Some(rc) = &cfg.recovery {
             router = router.with_recovery(rc.clone());

@@ -389,14 +389,6 @@ impl GameWorld {
         *self.counters.entry(key).or_insert(0) += 1;
     }
 
-    /// Adds `n` to a named counter (no-op when `n == 0`, so callers can
-    /// pass a purge count without conditionals).
-    pub fn bump_by(&mut self, key: &'static str, n: u64) {
-        if n > 0 {
-            *self.counters.entry(key).or_insert(0) += n;
-        }
-    }
-
     /// Reads a named counter.
     #[must_use]
     pub fn counter(&self, key: &'static str) -> u64 {

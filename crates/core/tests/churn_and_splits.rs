@@ -5,15 +5,15 @@
 use std::sync::Arc;
 
 use gcopss_core::broker::{
-    partition_cds_to_brokers, snapcast_rp_prefixes, MovingPlayerClient, SnapshotBroker,
-    SnapshotMode,
+    partition_cds_to_brokers, snapcast_ns, MovingPlayerClient, SnapshotBroker, SnapshotMode,
 };
 use gcopss_core::scenario::{
     expected_deliveries, ClientFactory, ExtraHost, GcopssConfig, NetworkSpec, ScenarioSpec,
 };
 use gcopss_core::{drops, MetricsMode, SimParams};
 use gcopss_game::{MovementModel, MovementParams};
-use gcopss_sim::{SimDuration, SimTime};
+use gcopss_names::Name;
+use gcopss_sim::{NodeId, SimDuration, SimTime};
 
 use gcopss_core::experiments::{Workload, WorkloadParams};
 
@@ -24,6 +24,43 @@ fn workload(updates: usize, players: usize, seed: u64) -> Workload {
         players,
         ..WorkloadParams::default()
     })
+}
+
+/// `n` snapshot brokers on the cores after the 3 game RPs, each with a
+/// dedicated RP for its `/snapcast` groups on the same core (the shape of
+/// the movement experiment): the extra hosts and the extra RPs.
+fn brokers_with_snapcast_rps(
+    w: &Workload,
+    net: &NetworkSpec,
+    n: usize,
+) -> (Vec<ExtraHost>, Vec<(Vec<Name>, NodeId)>) {
+    let pool = net.rp_pool_preview();
+    let mut extra_hosts = Vec::new();
+    let mut extra_rps = Vec::new();
+    for (i, cds) in partition_cds_to_brokers(&w.map, n).into_iter().enumerate() {
+        let routes = SnapshotBroker::fib_prefixes(&cds);
+        let attach = pool[(3 + i) % pool.len()];
+        extra_rps.push((
+            cds.iter().map(|cd| snapcast_ns().join(cd)).collect(),
+            attach,
+        ));
+        let objects = w.objects.clone();
+        let trace = Arc::clone(&w.trace);
+        extra_hosts.push(ExtraHost {
+            attach_to: attach,
+            routes,
+            make: Box::new(move |_n, edge| {
+                Box::new(SnapshotBroker::new(
+                    SimParams::default(),
+                    edge,
+                    cds,
+                    objects,
+                    trace,
+                ))
+            }),
+        });
+    }
+    (extra_hosts, extra_rps)
 }
 
 /// Randomized exactness: across seeds and RP layouts, delivery is exact
@@ -114,30 +151,12 @@ fn movement_churn_keeps_control_plane_consistent() {
     moves.retain(|m| m.player.index() % 8 == 0); // 10 movers keep brokers sane
     assert!(!moves.is_empty());
 
-    let serving = partition_cds_to_brokers(&w.map, 3);
     let net = NetworkSpec::default_backbone(37);
-    let pool = net.rp_pool_preview();
-    let params = SimParams::default();
-    let mut extra_hosts = Vec::new();
-    for (i, cds) in serving.into_iter().enumerate() {
-        let routes = SnapshotBroker::fib_prefixes(&cds);
-        let objects = w.objects.clone();
-        let trace = Arc::clone(&w.trace);
-        let p = params.clone();
-        extra_hosts.push(ExtraHost {
-            attach_to: pool[(3 + i) % pool.len()],
-            routes,
-            make: Box::new(move |_n, edge| {
-                Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-            }),
-        });
-    }
-
+    let (extra_hosts, extra_rps) = brokers_with_snapcast_rps(&w, &net, 3);
     let cfg = GcopssConfig {
-        params,
         delivery_log: true,
         rp_count: 3,
-        extra_rp_prefixes: snapcast_rp_prefixes(),
+        extra_rps,
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;
@@ -199,28 +218,11 @@ fn movement_churn_cyclic_mode() {
     moves.retain(|m| m.player.index() % 8 == 0);
     assert!(!moves.is_empty(), "movement schedule must not be empty");
 
-    let serving = partition_cds_to_brokers(&w.map, 2);
     let net = NetworkSpec::default_backbone(43);
-    let pool = net.rp_pool_preview();
-    let params = SimParams::default();
-    let mut extra_hosts = Vec::new();
-    for (i, cds) in serving.into_iter().enumerate() {
-        let routes = SnapshotBroker::fib_prefixes(&cds);
-        let objects = w.objects.clone();
-        let trace = Arc::clone(&w.trace);
-        let p = params.clone();
-        extra_hosts.push(ExtraHost {
-            attach_to: pool[(3 + i) % pool.len()],
-            routes,
-            make: Box::new(move |_n, edge| {
-                Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-            }),
-        });
-    }
+    let (extra_hosts, extra_rps) = brokers_with_snapcast_rps(&w, &net, 2);
     let cfg = GcopssConfig {
-        params,
         rp_count: 3,
-        extra_rp_prefixes: snapcast_rp_prefixes(),
+        extra_rps,
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;
@@ -270,34 +272,9 @@ fn offline_player_comes_online() {
     let w = workload(2_000, 60, 53);
     let trace_span = w.trace.last().map_or(0, |e| e.time_ns);
 
-    let serving = partition_cds_to_brokers(&w.map, 3);
     let net = NetworkSpec::default_backbone(47);
-    let pool = net.rp_pool_preview();
-    let params = SimParams::default();
-    let mut extra_hosts = Vec::new();
-    let mut extra_rps = Vec::new();
-    for (i, cds) in serving.into_iter().enumerate() {
-        let routes = SnapshotBroker::fib_prefixes(&cds);
-        let attach = pool[(3 + i) % pool.len()];
-        let snapcast: Vec<_> = cds
-            .iter()
-            .map(|cd| gcopss_core::broker::snapcast_ns().join(cd))
-            .collect();
-        extra_rps.push((snapcast, attach));
-        let objects = w.objects.clone();
-        let trace = Arc::clone(&w.trace);
-        let p = params.clone();
-        extra_hosts.push(ExtraHost {
-            attach_to: attach,
-            routes,
-            make: Box::new(move |_n, edge| {
-                Box::new(SnapshotBroker::new(p, edge, cds, objects, trace))
-            }),
-        });
-    }
-
+    let (extra_hosts, extra_rps) = brokers_with_snapcast_rps(&w, &net, 3);
     let cfg = GcopssConfig {
-        params,
         delivery_log: true,
         rp_count: 3,
         extra_rps,

@@ -43,10 +43,26 @@ use gcopss_sim::{
 /// Publication-id space for injected packets, far above any trace id.
 const INJECT_ID: u64 = 1 << 50;
 
+/// Non-drop counters that behaviors write to both the telemetry registry
+/// and the world's free-form counters.
+const DUAL_TAGS: [&str; 10] = [
+    "cs-hit",
+    "cs-miss",
+    "rp-failovers",
+    "rp-move-triggered",
+    "cache-class-promotions",
+    "cache-class-demotions",
+    "broker-cyclic-sent",
+    "broker-qr-served",
+    "broker-manifest-served",
+    "broker-chunk-served",
+];
+
 /// Collects the tags this run fired, and checks that every view of a drop
 /// reads one count: the telemetry per-reason counter equals the engine's
 /// drop ledger (a purge of n entries counts n in both), and no drop tag
-/// leaks into the world's free-form counters.
+/// leaks into the world's free-form counters. Counters kept in both
+/// stores ([`DUAL_TAGS`]) must read the same total in each.
 fn harvest(sim: &Simulator<GPacket, GameWorld>, seen: &mut BTreeSet<&'static str>) {
     for &tag in drops::ALL {
         let total = sim.telemetry().counter_total(tag);
@@ -54,6 +70,17 @@ fn harvest(sim: &Simulator<GPacket, GameWorld>, seen: &mut BTreeSet<&'static str
         assert!(
             !sim.world().counters.contains_key(tag),
             "drop tag {tag:?} counted in the world counters"
+        );
+        if total > 0 {
+            seen.insert(tag);
+        }
+    }
+    for tag in DUAL_TAGS {
+        let total = sim.telemetry().counter_total(tag);
+        assert_eq!(
+            total,
+            sim.world().counter(tag),
+            "telemetry vs world for {tag:?}"
         );
         if total > 0 {
             seen.insert(tag);
@@ -110,7 +137,7 @@ fn gcopss_chaos(seen: &mut BTreeSet<&'static str>) {
     };
     let mut built = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
-        .extra_host(broker)
+        .extra_hosts(vec![broker])
         .build()
         .into_gcopss();
 
@@ -377,7 +404,7 @@ fn overload_shedding(seen: &mut BTreeSet<&'static str>) {
             priority: true,
             mark_sojourn: Some(SimDuration::from_millis(4)),
         }),
-        rate_adapt: Some(RateAdaptConfig::default()),
+        rate_adapt: Some(RateAdaptConfig),
         ..GcopssConfig::default()
     };
     let warmup = cfg.warmup;

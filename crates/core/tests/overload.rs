@@ -75,8 +75,8 @@ fn vacuous_overload_config_is_byte_identical_to_none() {
 
 #[test]
 fn same_seed_overload_runs_are_byte_identical() {
-    let a = overload_report(Some(shedding_config()), Some(RateAdaptConfig::default()));
-    let b = overload_report(Some(shedding_config()), Some(RateAdaptConfig::default()));
+    let a = overload_report(Some(shedding_config()), Some(RateAdaptConfig));
+    let b = overload_report(Some(shedding_config()), Some(RateAdaptConfig));
     assert!(!a.trace_events.is_empty());
     assert_eq!(a.fingerprint, b.fingerprint);
     assert_eq!(render(&a), render(&b));

@@ -1,9 +1,10 @@
-//! Tests for the RP placement strategies (the paper's "improving RP
-//! selection" future work implemented as `RpSelection`).
+//! Tests for RP placement on automatic splits: a new RP goes to the next
+//! free node of the RP pool, in rotation (the paper picks it at random;
+//! rotation spreads load the same way, deterministically).
 
-use gcopss_core::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec};
-use gcopss_core::{MetricsMode, RpSelection, SimParams};
 use gcopss_core::experiments::{Workload, WorkloadParams};
+use gcopss_core::scenario::{expected_deliveries, GcopssConfig, NetworkSpec, ScenarioSpec};
+use gcopss_core::{MetricsMode, SimParams};
 
 fn congested_workload(seed: u64) -> Workload {
     Workload::counter_strike(&WorkloadParams {
@@ -14,7 +15,9 @@ fn congested_workload(seed: u64) -> Workload {
     })
 }
 
-fn run_with_strategy(strategy: RpSelection, seed: u64) -> (Vec<u32>, u64, u64) {
+/// Runs one auto-balancing G-COPSS scenario from a single RP; returns the
+/// RP nodes in RP-id order, the split count and the mean latency.
+fn run_with_splits(net: &NetworkSpec, seed: u64) -> (Vec<u32>, u64, u64) {
     let w = congested_workload(seed);
     let expected = expected_deliveries(&w.map, &w.population, &w.trace);
     let mut params = SimParams::default().with_auto_balancing(35);
@@ -24,17 +27,15 @@ fn run_with_strategy(strategy: RpSelection, seed: u64) -> (Vec<u32>, u64, u64) {
         delivery_log: true,
         metrics_mode: MetricsMode::StatsOnly,
         rp_count: 1,
-        rp_selection: strategy,
         ..GcopssConfig::default()
     };
-    let net = NetworkSpec::default_backbone(19);
-    let mut b = ScenarioSpec::new(&net, &w.map, &w.population, &w.trace)
+    let mut b = ScenarioSpec::new(net, &w.map, &w.population, &w.trace)
         .gcopss(cfg)
         .build()
         .into_gcopss();
     b.sim.run();
     let world = b.sim.world();
-    assert_eq!(world.metrics.delivered(), expected, "{strategy:?} lost updates");
+    assert_eq!(world.metrics.delivered(), expected, "splits lost updates");
     let nodes: Vec<u32> = world.rp_locations.values().copied().collect();
     (
         nodes,
@@ -44,33 +45,27 @@ fn run_with_strategy(strategy: RpSelection, seed: u64) -> (Vec<u32>, u64, u64) {
 }
 
 #[test]
-fn every_strategy_splits_without_loss() {
-    for strategy in [
-        RpSelection::Rotation,
-        RpSelection::ClosestToSelf,
-        RpSelection::Spread,
-    ] {
-        let (nodes, splits, mean) = run_with_strategy(strategy, 47);
-        assert!(splits >= 1, "{strategy:?}: no split fired");
-        assert!(mean > 0, "{strategy:?}: no latency recorded");
-        // Every RP lives on a distinct node (strategies skip taken nodes).
-        let mut dedup = nodes.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), nodes.len(), "{strategy:?}: co-located RPs");
-    }
-}
-
-#[test]
-fn strategies_pick_different_placements() {
-    let (rot, _, _) = run_with_strategy(RpSelection::Rotation, 47);
-    let (close, _, _) = run_with_strategy(RpSelection::ClosestToSelf, 47);
-    let (spread, _, _) = run_with_strategy(RpSelection::Spread, 47);
-    // At least one strategy must place its new RP(s) differently from the
-    // others (they optimize different objectives over 79 candidates).
+fn rotation_splits_without_loss_onto_distinct_nodes() {
+    let net = NetworkSpec::default_backbone(19);
+    let (nodes, splits, mean) = run_with_splits(&net, 47);
+    assert!(splits >= 1, "no split fired");
+    assert!(mean > 0, "no latency recorded");
+    // Every RP lives on a distinct node (rotation skips taken nodes) ...
+    let mut dedup = nodes.clone();
+    dedup.sort_unstable();
+    dedup.dedup();
+    assert_eq!(dedup.len(), nodes.len(), "co-located RPs: {nodes:?}");
+    // ... drawn from the RP pool, and the first split rotates past the
+    // splitting RP's own node (the pool's head) to the next candidate.
+    let pool: Vec<u32> = net.rp_pool_preview().iter().map(|n| n.0).collect();
     assert!(
-        rot != close || rot != spread,
-        "all strategies placed identically: {rot:?}"
+        nodes.iter().all(|n| pool.contains(n)),
+        "{nodes:?} not in the pool"
+    );
+    assert_eq!(
+        nodes[..2],
+        pool[..2],
+        "first split skipped a free candidate"
     );
 }
 

@@ -298,18 +298,6 @@ impl GameMap {
             .collect()
     }
 
-    /// Areas whose publications a player at `viewer` receives.
-    #[must_use]
-    pub fn visible_areas(&self, viewer: AreaId) -> Vec<AreaId> {
-        let subs = self.subscription_cds(viewer);
-        self.areas()
-            .filter(|&a| {
-                let p = self.publication_cd(a);
-                subs.iter().any(|s| s.is_prefix_of(p.name()))
-            })
-            .collect()
-    }
-
     /// Returns `true` if a player at `viewer` receives publications made at
     /// `publisher`'s location.
     #[must_use]

@@ -1,7 +1,5 @@
 //! The NDN forwarding pipeline.
 
-use gcopss_names::Name;
-
 use crate::{ContentStore, ContentStoreConfig, Data, FaceId, Fib, Interest, Pit, PitInsert};
 
 /// Configuration for an [`NdnEngine`].
@@ -183,18 +181,13 @@ impl NdnEngine {
     pub fn expire(&mut self, now_ns: u64) -> usize {
         self.pit.expire(now_ns)
     }
-
-    /// Convenience: does the FIB know a route for `name`?
-    #[must_use]
-    pub fn has_route(&self, name: &Name) -> bool {
-        self.fib.lookup(name).is_some()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gcopss_compat::bytes::Bytes;
+    use gcopss_names::Name;
 
     fn n(s: &str) -> Name {
         Name::parse_lit(s)

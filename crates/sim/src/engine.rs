@@ -302,12 +302,6 @@ impl<P, W> Ctx<'_, P, W> {
         self.streams.queue_ewma_q8(node.0)
     }
 
-    /// The `k` heaviest keys of the named sketch as `(key, count, err)`.
-    #[must_use]
-    pub fn stream_top(&self, stream: &'static str, k: usize) -> Vec<(u64, u64, u64)> {
-        self.streams.top(stream, k)
-    }
-
     /// The named sketch's estimate for `key`, when monitored.
     #[must_use]
     #[inline]
@@ -339,13 +333,6 @@ impl<P, W> Ctx<'_, P, W> {
     pub fn lineage_deliver(&mut self, entity: u32) {
         self.lineage
             .deliver_from(self.cur_span, self.node.0, entity, self.now);
-    }
-
-    /// Whether lineage tracing is recording.
-    #[must_use]
-    #[inline]
-    pub fn lineage_enabled(&self) -> bool {
-        self.lineage.is_enabled()
     }
 
     /// Records that this node discarded the packet it is servicing (or,
@@ -1399,11 +1386,9 @@ impl<P: SimPacket, W> Simulator<P, W> {
     /// lineage, telemetry counters, journal).
     ///
     /// Overflow resolution order: (1) a queued *stale* packet the arrival
-    /// supersedes sheds first; (2) head-drop evicts the oldest waiting
-    /// packet of the worst class; (3) drop-tail/CoDel evict the worst
-    /// queued packet only if the arrival outranks it, else reject the
-    /// arrival. The in-service front (index 0 while `serving`) is never
-    /// touched.
+    /// supersedes sheds first; (2) the worst queued packet is evicted only
+    /// if the arrival outranks it, else the arrival is rejected. The
+    /// in-service front (index 0 while `serving`) is never touched.
     fn admit(&mut self, node: NodeId, from: Option<NodeId>, pkt: &P, size: u32, span: u32) -> bool {
         let Some(ov) = self.overload.as_ref() else {
             return true;
@@ -1419,7 +1404,6 @@ impl<P: SimPacket, W> Simulator<P, W> {
         }
         let _ovp = prof::scope("engine/overload");
         let priority_on = ov.cfg.priority;
-        let policy = ov.cfg.policy;
         let arriving_class = pkt.priority();
         // (1) Stale-superseded: the arrival carries a newer version of a
         // queued update — evict the stale copy, admit the fresh one.
@@ -1431,35 +1415,19 @@ impl<P: SimPacket, W> Simulator<P, W> {
                     .map(|i| (i, STALE_SUPERSEDED));
             }
         }
-        // (2)/(3) Policy-driven overflow. With priorities on, the victim is
-        // in the worst (highest-numbered) class present; among equals
-        // head-drop evicts the oldest, drop-tail the newest.
-        if victim.is_none() {
+        // (2) Overflow: with priorities on, an arrival that outranks the
+        // worst (highest-numbered) class queued evicts the newest packet
+        // of that class; otherwise the arrival itself is rejected.
+        if victim.is_none() && priority_on {
             let worst = (start..st.queue.len())
                 .map(|i| st.queue[i].pkt.priority())
                 .max()
                 .expect("full queue has a waiting packet");
-            victim = match policy {
-                AdmissionPolicy::HeadDrop => {
-                    let idx = if priority_on {
-                        (start..st.queue.len())
-                            .find(|&i| st.queue[i].pkt.priority() == worst)
-                            .expect("worst class present")
-                    } else {
-                        start
-                    };
-                    Some((idx, QUEUE_FULL))
-                }
-                AdmissionPolicy::DropTail | AdmissionPolicy::CoDel { .. } => {
-                    if priority_on && worst > arriving_class {
-                        (start..st.queue.len())
-                            .rfind(|&i| st.queue[i].pkt.priority() == worst)
-                            .map(|i| (i, QUEUE_FULL))
-                    } else {
-                        None
-                    }
-                }
-            };
+            if worst > arriving_class {
+                victim = (start..st.queue.len())
+                    .rfind(|&i| st.queue[i].pkt.priority() == worst)
+                    .map(|i| (i, QUEUE_FULL));
+            }
         }
         let (d, ctl, admitted) = match victim {
             Some((i, reason)) => {
@@ -2472,7 +2440,6 @@ mod tests {
             counters: vec!["drop"],
             gauges: vec![],
             per_node: vec![],
-            max_frames: 100,
         });
         sim.inject(SimTime::ZERO, a, Pkt(1, 100));
         sim.inject(SimTime::ZERO, a, Pkt(2, 100));
@@ -2573,24 +2540,6 @@ mod tests {
         assert_eq!(served, vec![100, 101, 102]);
         assert_eq!(sim.overload_drops(), (3, 0, 0));
         assert_eq!(sim.node_max_queue(NodeId(0)), 3);
-    }
-
-    #[test]
-    fn head_drop_keeps_the_freshest() {
-        let (mut sim, a) = one_node_overloaded(OverloadConfig {
-            queue_capacity: Some(2),
-            policy: AdmissionPolicy::HeadDrop,
-            ..OverloadConfig::default()
-        });
-        for i in 0..6u32 {
-            sim.inject(SimTime::ZERO, a, Pkt(100 + i, 50));
-        }
-        sim.run();
-        // The in-service front is untouchable; each overflow evicts the
-        // oldest *waiting* packet, so the freshest two survive.
-        let served: Vec<u32> = sim.world().arrivals.iter().map(|&(_, p)| p).collect();
-        assert_eq!(served, vec![100, 104, 105]);
-        assert_eq!(sim.overload_drops(), (3, 0, 0));
     }
 
     #[test]

@@ -207,13 +207,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The time of the last scheduled event, if any. Useful for "after the
-    /// last repair" assertions in recovery tests.
-    #[must_use]
-    pub fn last_event_time(&self) -> Option<SimTime> {
-        self.events.iter().map(|&(t, _)| t).max()
-    }
-
     pub(crate) fn into_parts(mut self) -> (Vec<(SimTime, FaultEvent)>, f64, u64) {
         // Stable sort: same-time events keep insertion order.
         self.events.sort_by_key(|&(t, _)| t);

@@ -24,7 +24,7 @@
 //!   routing recomputed over the surviving subgraph after every change and
 //!   behaviors notified through [`NodeBehavior::on_fault`].
 //! * [`overload`] — overload control: bounded per-node service queues with
-//!   drop-tail / head-drop / CoDel-style sojourn AQM admission, priority
+//!   drop-tail or CoDel-style sojourn AQM admission, priority
 //!   classes (control preempts bulk, stale superseded updates shed first),
 //!   and congestion marks surfaced to behaviors via
 //!   [`Ctx::congestion_marked`]; installed via

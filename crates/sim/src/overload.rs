@@ -9,9 +9,6 @@
 //!
 //! * **Drop-tail** — an arrival to a full queue is rejected
 //!   ([`QUEUE_FULL`]), unless priority shedding finds a worse victim.
-//! * **Head-drop** — the oldest waiting packet (of the lowest-priority
-//!   class, when priorities are on) is evicted to admit the arrival;
-//!   under sustained overload this keeps queue contents fresh.
 //! * **CoDel** — a hand-rolled sojourn-time AQM in the spirit of Nichols &
 //!   Jacobson's CoDel (no external crates, per the hermetic policy): when
 //!   the queue's head sojourn time has stayed above `target` for a full
@@ -57,9 +54,6 @@ pub const STALE_SUPERSEDED: &str = "stale-superseded";
 pub enum AdmissionPolicy {
     /// Reject arrivals when the queue is full.
     DropTail,
-    /// Evict the oldest waiting packet (lowest class first) to admit the
-    /// arrival.
-    HeadDrop,
     /// Sojourn-time AQM: shed at dequeue once the head-of-queue delay has
     /// exceeded `target` for a full `interval`; shedding accelerates with
     /// the square root of the drop count (the CoDel control law).
@@ -108,7 +102,7 @@ impl Default for OverloadConfig {
 impl OverloadConfig {
     /// `true` when installing this config could not change any run:
     /// no queue bound, no marking, no priority reordering, and no AQM.
-    /// (`DropTail`/`HeadDrop` without a capacity never fire.)
+    /// (`DropTail` without a capacity never fires.)
     #[must_use]
     pub fn is_vacuous(&self) -> bool {
         self.queue_capacity.is_none()
@@ -269,12 +263,6 @@ mod tests {
             ..OverloadConfig::default()
         };
         assert!(!codel.is_vacuous());
-        // An unbounded head-drop can never fire: vacuous.
-        let head = OverloadConfig {
-            policy: AdmissionPolicy::HeadDrop,
-            ..OverloadConfig::default()
-        };
-        assert!(head.is_vacuous());
     }
 
     #[test]

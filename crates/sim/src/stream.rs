@@ -16,19 +16,20 @@
 //! Three primitives, all integer-only:
 //!
 //! * **Windowed counters** — per `(metric, node)`: a ring of the last
-//!   `window_ticks` closed tick buckets plus the current partial bucket;
+//!   [`WINDOW_TICKS`] closed tick buckets plus the current partial bucket;
 //!   [`MetricStreams::rate`] is the sum over that sliding window.
 //! * **EWMA gauges** — Q8 fixed point, `ewma += (sample·2⁸ − ewma) ≫
-//!   shift`; the engine feeds every node's service-queue depth at each
-//!   roll, so [`MetricStreams::queue_ewma_q8`] is a smoothed load signal
-//!   that a single burst cannot flip.
+//!   EWMA_SHIFT` (see [`EWMA_SHIFT`]); the engine feeds every node's
+//!   service-queue depth at each roll, so [`MetricStreams::queue_ewma_q8`]
+//!   is a smoothed load signal that a single burst cannot flip.
 //! * **Space-saving sketches** — the Metwally–Agrawal–El Abbadi heavy
-//!   hitter summary: `m` monitored keys; a hit increments, a miss over a
-//!   full sketch evicts the minimum-count key (smallest key on ties — the
-//!   map is ordered, so eviction is deterministic) and the newcomer
+//!   hitter summary: `m` = [`SKETCH_CAPACITY`] monitored keys; a hit
+//!   increments, a miss over a full sketch evicts the minimum-count key
+//!   (smallest key on ties — the map is ordered, so eviction is
+//!   deterministic) and the newcomer
 //!   inherits `min+w` with error bound `min`. Estimates overcount by at
 //!   most `err ≤ N/m`; every key with true count `> N/m` is monitored.
-//!   Sketches are halved every `window_ticks` rolls so old hotspots decay.
+//!   Sketches are halved every [`WINDOW_TICKS`] rolls so old hotspots decay.
 //!
 //! Determinism: no PRNG draws at all, no wall clock, and every map is a
 //! `BTreeMap` — same-seed runs produce byte-identical stream snapshots. A
@@ -43,41 +44,33 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::json::Json;
 use crate::{SimDuration, SimTime};
 
+/// Sliding-window length in closed tick buckets; also the sketch
+/// half-life in rolls.
+pub const WINDOW_TICKS: usize = 8;
+
+/// EWMA smoothing: the weight of one sample is `2^-EWMA_SHIFT`.
+pub const EWMA_SHIFT: u32 = 3;
+
+/// Monitored keys per space-saving sketch.
+pub const SKETCH_CAPACITY: usize = 32;
+
 /// Configuration of the in-simulation metric streams
 /// ([`crate::Simulator::install_streams`]).
 ///
 /// The default config is vacuous (zero tick) and installing it is a no-op,
 /// mirroring the vacuous `FaultPlan`/`OverloadConfig` rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Roll period in simulated time. [`SimDuration::ZERO`] = vacuous:
     /// nothing is installed and every hook stays a single branch.
     pub tick: SimDuration,
-    /// Sliding-window length in closed tick buckets; also the sketch
-    /// half-life in rolls. Clamped to ≥ 1 at install.
-    pub window_ticks: usize,
-    /// EWMA smoothing: weight of one sample is `2^-shift`.
-    pub ewma_shift: u32,
-    /// Monitored keys per space-saving sketch. Clamped to ≥ 1 at install.
-    pub sketch_capacity: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self {
-            tick: SimDuration::ZERO,
-            window_ticks: 8,
-            ewma_shift: 3,
-            sketch_capacity: 32,
-        }
-    }
 }
 
 impl StreamConfig {
-    /// A non-vacuous config rolling every `tick`, other knobs default.
+    /// A non-vacuous config rolling every `tick`.
     #[must_use]
     pub fn every(tick: SimDuration) -> Self {
-        Self { tick, ..Self::default() }
+        Self { tick }
     }
 
     /// `true` when installing this config could not change any run: with a
@@ -93,7 +86,7 @@ impl StreamConfig {
 /// plus the current partial bucket.
 #[derive(Debug, Clone, Default)]
 struct WindowedCounter {
-    /// Closed buckets, oldest first; bounded by `window_ticks`.
+    /// Closed buckets, oldest first; bounded by [`WINDOW_TICKS`].
     closed: VecDeque<u64>,
     /// The bucket currently filling (closed at the next roll).
     current: u64,
@@ -112,10 +105,10 @@ impl WindowedCounter {
         self.closed.iter().sum::<u64>() + self.current
     }
 
-    fn roll(&mut self, window_ticks: usize) {
+    fn roll(&mut self) {
         self.closed.push_back(self.current);
         self.current = 0;
-        while self.closed.len() > window_ticks {
+        while self.closed.len() > WINDOW_TICKS {
             self.closed.pop_front();
         }
     }
@@ -131,7 +124,7 @@ struct Ewma {
 }
 
 impl Ewma {
-    fn feed(&mut self, sample: u64, shift: u32) {
+    fn feed(&mut self, sample: u64) {
         let s = sample << 8;
         if !self.primed {
             self.primed = true;
@@ -139,7 +132,7 @@ impl Ewma {
             return;
         }
         let cur = self.q8 as i64;
-        self.q8 = (cur + ((s as i64 - cur) >> shift)) as u64;
+        self.q8 = (cur + ((s as i64 - cur) >> EWMA_SHIFT)) as u64;
     }
 }
 
@@ -285,9 +278,7 @@ impl MetricStreams {
     /// An enabled hub over `node_count` nodes. `cfg` must be non-vacuous
     /// (the engine's install refuses vacuous configs before this).
     #[must_use]
-    pub fn new(mut cfg: StreamConfig, node_count: usize) -> Self {
-        cfg.window_ticks = cfg.window_ticks.max(1);
-        cfg.sketch_capacity = cfg.sketch_capacity.max(1);
+    pub fn new(cfg: StreamConfig, node_count: usize) -> Self {
         let next_roll = SimTime::ZERO + cfg.tick;
         Self {
             cfg,
@@ -340,10 +331,9 @@ impl MetricStreams {
         if !self.enabled {
             return;
         }
-        let cap = self.cfg.sketch_capacity;
         self.sketches
             .entry(stream)
-            .or_insert_with(|| SpaceSaving::new(cap))
+            .or_insert_with(|| SpaceSaving::new(SKETCH_CAPACITY))
             .offer(key, weight);
     }
 
@@ -374,26 +364,20 @@ impl MetricStreams {
         self.sketches.get(stream)
     }
 
-    /// The `k` heaviest keys of the named sketch (empty when absent).
-    #[must_use]
-    pub fn top(&self, stream: &'static str, k: usize) -> Vec<(u64, u64, u64)> {
-        self.sketches.get(stream).map_or_else(Vec::new, |s| s.top(k))
-    }
-
     /// One roll at `at`: closes every counter's current bucket, feeds the
-    /// queue-depth EWMAs, and halves the sketches every `window_ticks`
+    /// queue-depth EWMAs, and halves the sketches every [`WINDOW_TICKS`]
     /// rolls. Called by the engine, interleaved with event dispatch in
     /// timestamp order.
     pub fn roll(&mut self, at: SimTime, queue_depths: impl Iterator<Item = usize>) {
         debug_assert!(self.enabled, "rolling a disabled hub");
         for c in self.counters.values_mut() {
-            c.roll(self.cfg.window_ticks);
+            c.roll();
         }
         for (e, q) in self.queue_ewma.iter_mut().zip(queue_depths) {
-            e.feed(q as u64, self.cfg.ewma_shift);
+            e.feed(q as u64);
         }
         self.rolls += 1;
-        if self.rolls.is_multiple_of(self.cfg.window_ticks as u64) {
+        if self.rolls.is_multiple_of(WINDOW_TICKS as u64) {
             for s in self.sketches.values_mut() {
                 s.halve();
             }
@@ -457,44 +441,42 @@ mod tests {
 
     #[test]
     fn windowed_counter_slides() {
-        let mut s = MetricStreams::new(
-            StreamConfig {
-                tick: SimDuration::from_secs(1),
-                window_ticks: 2,
-                ..StreamConfig::default()
-            },
-            1,
-        );
+        let mut s = MetricStreams::new(StreamConfig::every(SimDuration::from_secs(1)), 1);
         let mut t = SimTime::ZERO;
+        let mut roll = |s: &mut MetricStreams| {
+            t += SimDuration::from_secs(1);
+            s.roll(t, [0usize].into_iter());
+        };
         s.bump("m", 0, 5);
         assert_eq!(s.rate("m", 0), 5);
-        t += SimDuration::from_secs(1);
-        s.roll(t, [0usize].into_iter());
+        roll(&mut s);
         s.bump("m", 0, 3);
         assert_eq!(s.rate("m", 0), 8); // closed 5 + partial 3
-        t += SimDuration::from_secs(1);
-        s.roll(t, [0usize].into_iter());
-        t += SimDuration::from_secs(1);
-        s.roll(t, [0usize].into_iter());
-        // Window of 2 closed buckets: [3, 0]; the 5 slid out.
+        // The window holds WINDOW_TICKS closed buckets: after that many
+        // rolls both bumps are still in it ...
+        for _ in 1..WINDOW_TICKS {
+            roll(&mut s);
+        }
+        assert_eq!(s.rate("m", 0), 8);
+        // ... one more roll slides the 5 out, and the next the 3.
+        roll(&mut s);
         assert_eq!(s.rate("m", 0), 3);
-        t += SimDuration::from_secs(1);
-        s.roll(t, [0usize].into_iter());
+        roll(&mut s);
         assert_eq!(s.rate("m", 0), 0);
         assert_eq!(s.total("m", 0), 8);
-        assert_eq!(s.rolls(), 4);
+        assert_eq!(s.rolls(), WINDOW_TICKS as u64 + 2);
     }
 
     #[test]
     fn ewma_smooths_and_primes() {
         let mut e = Ewma::default();
-        e.feed(100, 3);
+        e.feed(100);
         assert_eq!(e.q8, 100 << 8); // first sample snaps
-        e.feed(0, 3);
+        e.feed(0);
         // 100·256 − (100·256)/8 = 22400
         assert_eq!(e.q8, 22_400);
         for _ in 0..200 {
-            e.feed(0, 3);
+            e.feed(0);
         }
         assert_eq!(e.q8, 0); // converges to the steady signal
     }

@@ -274,7 +274,11 @@ pub struct TraceRecord {
     pub event: TraceEvent,
     /// The packet class (`SimPacket::kind`, or a behavior tag).
     pub class: &'static str,
-    /// Wire size in bytes (0 when not applicable).
+    /// Wire size in bytes (0 when not applicable). A [`TraceEvent::Drop`]
+    /// record of a soft-state purge (reasons `pit-expired`, `pit-purged`
+    /// and `st-purged`, journaled by `Ctx::drop_entries`) carries the
+    /// number of purged entries here instead, so sums of `size` over
+    /// `Drop` records mix bytes with entry counts.
     pub size: u32,
     /// The peer node for [`TraceEvent::Send`] (receiver), else `u32::MAX`.
     pub peer: u32,
@@ -704,9 +708,11 @@ pub struct TimeSeriesConfig {
     /// Counters exported with a per-node breakdown per frame (e.g.
     /// `"rp-served"` for per-RP load over time).
     pub per_node: Vec<&'static str>,
-    /// Maximum frames captured; sampling stops past this bound.
-    pub max_frames: usize,
 }
+
+/// Maximum frames a [`TimeSeries`] captures; sampling stops past this
+/// bound.
+pub const MAX_FRAMES: usize = 4096;
 
 impl Default for TimeSeriesConfig {
     fn default() -> Self {
@@ -715,7 +721,6 @@ impl Default for TimeSeriesConfig {
             counters: vec!["delivered", "drop"],
             gauges: Vec::new(),
             per_node: Vec::new(),
-            max_frames: 4096,
         }
     }
 }
@@ -741,7 +746,7 @@ impl TimeSeries {
     /// When the next frame is due, or `None` once the frame bound is hit.
     #[must_use]
     pub fn next_frame_at(&self) -> Option<SimTime> {
-        (self.frames.len() < self.cfg.max_frames).then_some(self.next)
+        (self.frames.len() < MAX_FRAMES).then_some(self.next)
     }
 
     /// Captures one frame at `at` from the registry plus the engine's
@@ -813,18 +818,12 @@ impl TimeSeries {
         self.next = at + self.cfg.tick;
     }
 
-    /// Number of frames captured so far.
-    #[must_use]
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
     /// The whole series as ordered JSON: tick, frame bound, frames.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("tick_ns", Json::from(self.cfg.tick.as_nanos())),
-            ("max_frames", Json::from(self.cfg.max_frames)),
+            ("max_frames", Json::from(MAX_FRAMES)),
             ("frames", Json::Array(self.frames.clone())),
         ])
     }
